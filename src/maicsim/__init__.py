@@ -4,7 +4,6 @@ survival trials."""
 from .balance import (
     BalanceProblem,
     MaicWeights,
-    OptimizerSettings,
     TargetOutsideSupport,
     balance_report,
     center_covariates,
@@ -15,9 +14,7 @@ from .cohortsim import (
     AggregateSummary,
     CovariateSpec,
     OutcomeModelSpec,
-    SelectionModelSpec,
     TrialData,
-    assign_study_membership,
     linear_predictor,
     simulate_covariates,
     simulate_survival,
@@ -43,7 +40,7 @@ from .estimands import (
     conditional_effect,
     hr_ratio,
     marginal_effect,
-    true_marginal_effect,
+    simulated_marginal_loghr,
 )
 from .harness import (
     ScenarioConfig,
@@ -59,7 +56,6 @@ from .stochastic import (
     Poisson,
     RandomStream,
     Uniform01,
-    draw_variate,
     draw_variates,
     seed_stream,
 )

@@ -9,11 +9,14 @@ the target means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-_MAX_EXPONENT = 700.0  # beyond this exp() overflows a double
+_MAX_EXPONENT = 700.0     # beyond this exp() overflows a double
+_GRAD_TOL = 1e-8          # BFGS stops when max |gradient| falls to this
+_MAX_ITERS = 500
+_DIVERGENCE_NORM = 50.0   # |alpha| beyond this: the targets are unreachable
 
 
 class TargetOutsideSupport(Exception):
@@ -46,22 +49,6 @@ class MaicWeights:
     iterations: int
 
 
-@dataclass(frozen=True)
-class OptimizerSettings:
-    grad_tol: float = 1e-8
-    max_iters: int = 500
-    initial_alpha: np.ndarray | None = None
-
-
-@dataclass
-class OptimizerDiagnostics:
-    converged: bool
-    iterations: int
-    grad_norm: float
-    value: float
-    diverged: bool = False
-
-
 def center_covariates(X_ipd: np.ndarray, target_means, names=None) -> BalanceProblem:
     X_ipd = np.atleast_2d(np.asarray(X_ipd, dtype=float))
     target = np.asarray(target_means, dtype=float).ravel()
@@ -85,27 +72,22 @@ def objective_and_gradient(alpha: np.ndarray, prob: BalanceProblem):
     return float(w.sum()), prob.Xc.T @ w
 
 
-def bfgs_minimize(evaluator, settings: OptimizerSettings,
-                  divergence_norm: float | None = None):
-    """Quasi-Newton minimization with inverse-Hessian (BFGS) updates and a
-    backtracking Armijo line search.
+def bfgs_minimize(evaluator, k: int, divergence_norm: float | None = None):
+    """Quasi-Newton minimization over R^k from alpha = 0, with inverse-Hessian
+    (BFGS) updates and a backtracking Armijo line search.
 
     ``evaluator`` maps alpha to (value, gradient). Stops when the gradient
-    infinity norm falls below ``settings.grad_tol``, the iteration budget is
-    exhausted, or (if ``divergence_norm`` is set) the iterate's 2-norm
-    exceeds it without the gradient vanishing.
+    infinity norm falls to ``_GRAD_TOL``, after ``_MAX_ITERS`` iterations, or
+    (if ``divergence_norm`` is set) once the iterate's 2-norm exceeds it.
+    Returns (alpha, converged, iterations, grad_norm).
     """
-    if settings.initial_alpha is None:
-        raise ValueError("settings.initial_alpha is required")
-    alpha = np.asarray(settings.initial_alpha, dtype=float).copy()
-    k = alpha.shape[0]
+    alpha = np.zeros(k)
     f, g = evaluator(alpha)
     if not np.isfinite(f):
         raise ValueError("objective is not finite at the starting point")
     hinv = np.eye(k)
     iterations = 0
-    diverged = False
-    while np.max(np.abs(g)) > settings.grad_tol and iterations < settings.max_iters:
+    while np.max(np.abs(g)) > _GRAD_TOL and iterations < _MAX_ITERS:
         direction = -hinv @ g
         if direction @ g >= 0:  # safeguard: fall back to steepest descent
             direction = -g
@@ -130,31 +112,20 @@ def bfgs_minimize(evaluator, settings: OptimizerSettings,
         alpha, f, g = alpha_new, f_new, g_new
         iterations += 1
         if divergence_norm is not None and np.linalg.norm(alpha) > divergence_norm:
-            diverged = True
             break
     grad_norm = float(np.max(np.abs(g)))
-    diag = OptimizerDiagnostics(
-        converged=grad_norm <= settings.grad_tol,
-        iterations=iterations,
-        grad_norm=grad_norm,
-        value=f,
-        diverged=diverged and grad_norm > settings.grad_tol,
-    )
-    return alpha, diag
+    return alpha, grad_norm <= _GRAD_TOL, iterations, grad_norm
 
 
-def estimate_weights(prob: BalanceProblem,
-                     settings: OptimizerSettings = OptimizerSettings()) -> MaicWeights:
+def estimate_weights(prob: BalanceProblem) -> MaicWeights:
     if prob.K < 1:
         raise ValueError("at least one covariate is required")
     if prob.n <= prob.K:
         raise ValueError(f"need n > K, got n={prob.n}, K={prob.K}")
-    if settings.initial_alpha is None:
-        settings = OptimizerSettings(settings.grad_tol, settings.max_iters,
-                                     np.zeros(prob.K))
-    alpha, diag = bfgs_minimize(
-        lambda a: objective_and_gradient(a, prob), settings, divergence_norm=50.0)
-    if diag.diverged or (not diag.converged and np.linalg.norm(alpha) > 50.0):
+    alpha, converged, iterations, grad_norm = bfgs_minimize(
+        lambda a: objective_and_gradient(a, prob), prob.K,
+        divergence_norm=_DIVERGENCE_NORM)
+    if not converged and np.linalg.norm(alpha) > _DIVERGENCE_NORM:
         raise TargetOutsideSupport(
             "tilting coefficients diverged; target means lie outside the "
             "convex hull of the IPD covariates")
@@ -163,7 +134,7 @@ def estimate_weights(prob: BalanceProblem,
     # the moment condition must hold relative to the weight total
     with np.errstate(invalid="ignore", divide="ignore"):
         rel_gap = np.max(np.abs(prob.Xc.T @ w)) / w.sum()
-    if diag.converged and not rel_gap <= 1e-6:
+    if converged and not rel_gap <= 1e-6:
         raise TargetOutsideSupport(
             "weighted moment condition unsatisfied at the stationary point; "
             "target means lie outside the convex hull of the IPD covariates")
@@ -171,9 +142,9 @@ def estimate_weights(prob: BalanceProblem,
         alpha=alpha,
         w=w,
         ess=effective_sample_size(w),
-        converged=diag.converged,
-        grad_norm=diag.grad_norm,
-        iterations=diag.iterations,
+        converged=converged,
+        grad_norm=grad_norm,
+        iterations=iterations,
     )
 
 
@@ -228,10 +199,3 @@ def balance_report(X_ipd: np.ndarray, w: np.ndarray, target_means,
         ess=effective_sample_size(w),
         ess_fraction=effective_sample_size(w) / len(w),
     )
-
-
-def normalized_weights(w: np.ndarray) -> np.ndarray:
-    """Display-only rescaling so the weights sum to n; estimates are
-    invariant to this scaling."""
-    w = np.asarray(w, dtype=float)
-    return w * (len(w) / w.sum())

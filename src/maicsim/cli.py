@@ -21,11 +21,7 @@ def _cmd_simulate(args) -> int:
     cfg = _read_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    stream = harness.seed_stream(cfg.seed)
-    model_A = harness._with_interaction(cfg.study_A, cfg.interaction)
-    model_B = harness._with_interaction(cfg.study_B, cfg.interaction)
-    trial_A = cohortsim.simulate_trial(model_A, cfg.n, stream)
-    trial_B = cohortsim.simulate_trial(model_B, cfg.n, stream)
+    trial_A, trial_B = harness.simulate_studies(cfg)
     (out / "study_A.csv").write_text(cohortsim.trial_to_csv(trial_A))
     (out / "study_B.csv").write_text(cohortsim.trial_to_csv(trial_B))
     targets = {name: float(trial_B.column(name).mean())

@@ -14,9 +14,8 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-from .coxph import SolverSettings, SurvivalSample, fit_cox
+from .coxph import SurvivalSample, fit_cox
 from .stochastic import DistributionSpec, Exponential, RandomStream, draw_variates
 
 
@@ -48,13 +47,6 @@ class OutcomeModelSpec:
     @property
     def covariate_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.covariates)
-
-
-@dataclass(frozen=True)
-class SelectionModelSpec:
-    theta_age: float
-    theta_iss: float
-    age_center: float = 65.0
 
 
 @dataclass(frozen=True)
@@ -95,11 +87,10 @@ class TrialData:
 @dataclass(frozen=True)
 class AggregateSummary:
     """The 'Table 1' of an aggregate-level study: covariate means plus the
-    marginal treatment-effect summary."""
+    marginal treatment-effect summary. This is all of study B that an
+    anchored MAIC may use."""
     covariate_names: tuple[str, ...]
     means: np.ndarray
-    means_treated: np.ndarray
-    means_control: np.ndarray
     log_hr: float
     se: float
 
@@ -159,37 +150,15 @@ def simulate_trial(model: OutcomeModelSpec, n: int, stream: RandomStream) -> Tri
     return TrialData(model.covariate_names, X, trt, time, status)
 
 
-def selection_probabilities(X: np.ndarray, names, sel: SelectionModelSpec) -> np.ndarray:
-    """Per-subject probability of study-A membership from
-    logit P = theta_age * (Age - center) + theta_iss * ISS."""
-    names = list(names)
-    for required in ("Age", "ISS"):
-        if required not in names:
-            raise KeyError(f"selection model requires a column named {required!r}")
-    age = X[:, names.index("Age")]
-    iss = X[:, names.index("ISS")]
-    return expit(sel.theta_age * (age - sel.age_center) + sel.theta_iss * iss)
-
-
-def assign_study_membership(X: np.ndarray, names, sel: SelectionModelSpec,
-                            stream: RandomStream) -> np.ndarray:
-    """Bernoulli draw of study membership (1 = study A) per subject."""
-    prob = selection_probabilities(X, names, sel)
-    return (stream.uniforms(X.shape[0]) < prob).astype(float)
-
-
-def summarize_aggregate(trial: TrialData,
-                        settings: SolverSettings = SolverSettings()) -> AggregateSummary:
+def summarize_aggregate(trial: TrialData) -> AggregateSummary:
+    """What a trial publishes: each covariate's mean, and the treatment log
+    hazard ratio of the unweighted univariable Cox fit with its model SE."""
     if trial.n == 0:
         raise ValueError("trial is empty")
-    fit = fit_cox(SurvivalSample(trial.time, trial.status, trial.trt[:, None]),
-                  settings)
-    treated = trial.trt == 1
+    fit = fit_cox(SurvivalSample(trial.time, trial.status, trial.trt[:, None]))
     return AggregateSummary(
         covariate_names=trial.covariate_names,
         means=trial.X.mean(axis=0),
-        means_treated=trial.X[treated].mean(axis=0),
-        means_control=trial.X[~treated].mean(axis=0),
         log_hr=float(fit.beta[0]),
         se=float(fit.se_model[0]),
     )
@@ -212,6 +181,10 @@ def trial_to_csv(trial: TrialData) -> str:
 
 def trial_from_csv(text: str) -> TrialData:
     rows = list(csv.reader(io.StringIO(text)))
+    if not rows:
+        raise ValueError("trial CSV is empty")
+    if len(rows) == 1:
+        raise ValueError("trial CSV has a header but no subject rows")
     header = rows[0]
     if header[0] != "subject_id" or header[-3:] != ["trt", "time", "status"]:
         raise ValueError("unrecognized trial CSV header")

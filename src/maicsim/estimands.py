@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohortsim import OutcomeModelSpec, TrialData, simulate_trial
-from .coxph import SolverSettings, SurvivalSample, fit_cox
+from .coxph import SurvivalSample, fit_cox
 from .stochastic import RandomStream
 
 MARGINAL = "marginal"
@@ -79,48 +79,38 @@ def _require_same_scale(d_AC: EffectEstimate, d_BC: EffectEstimate):
 
 
 def marginal_effect(trial: TrialData, weights: np.ndarray | None = None,
-                    population: str = "",
-                    settings: SolverSettings = SolverSettings()) -> EffectEstimate:
+                    population: str = "") -> EffectEstimate:
     """Univariable (optionally weighted) Cox fit of outcome on treatment.
 
     With weights the robust sandwich standard error is reported, since the
     weighted score contributions are no longer independent unit terms.
     """
     sample = SurvivalSample(trial.time, trial.status, trial.trt[:, None], weights)
-    fit = fit_cox(sample, settings)
+    fit = fit_cox(sample)
     se = fit.se_robust[0] if weights is not None else fit.se_model[0]
     return EffectEstimate(float(fit.beta[0]), float(se), MARGINAL, population)
 
 
 def conditional_effect(trial: TrialData, adjustment_set,
-                       population: str = "",
-                       settings: SolverSettings = SolverSettings()) -> EffectEstimate:
+                       population: str = "") -> EffectEstimate:
     """Treatment coefficient of the Cox fit adjusted for the named covariates."""
     adjustment_set = list(adjustment_set)
     if not adjustment_set:
-        est = marginal_effect(trial, population=population, settings=settings)
+        est = marginal_effect(trial, population=population)
         return EffectEstimate(est.log_hr, est.se, CONDITIONAL, population)
     Z = np.column_stack([trial.trt, trial.columns(adjustment_set)])
-    fit = fit_cox(SurvivalSample(trial.time, trial.status, Z), settings)
+    fit = fit_cox(SurvivalSample(trial.time, trial.status, Z))
     return EffectEstimate(float(fit.beta[0]), float(fit.se_model[0]),
                           CONDITIONAL, population)
 
 
 def simulated_marginal_loghr(model: OutcomeModelSpec, n: int,
                              stream: RandomStream) -> float:
-    """Univariable Cox treatment coefficient on one simulated cohort."""
+    """Simulation-based truth for the marginal log hazard ratio: the
+    univariable Cox treatment coefficient on one large simulated cohort."""
     trial = simulate_trial(model, n, stream)
     sample = SurvivalSample(trial.time, trial.status, trial.trt[:, None])
     return float(fit_cox(sample).beta[0])
-
-
-def true_marginal_effect(model: OutcomeModelSpec, n_large: int,
-                         stream: RandomStream) -> float:
-    """Simulation-based truth for the marginal log hazard ratio: a
-    univariable Cox fit on one very large simulated cohort."""
-    if n_large < 10**5:
-        raise ValueError("n_large must be at least 1e5 for a stable truth")
-    return simulated_marginal_loghr(model, n_large, stream)
 
 
 def bucher_compare(d_AC: EffectEstimate, d_BC: EffectEstimate) -> IndirectComparison:

@@ -1,10 +1,12 @@
 """Scenario configuration and the end-to-end replication pipeline.
 
 A scenario simulates two randomized trials against a shared comparator,
-estimates moment-matching weights for the chosen balance set, fits the
-weighted univariable Cox model, and assembles marginal/conditional effect
-estimates plus the anchored comparison. ``replicate_appendix`` runs the four
-canonical scenarios and the simulation-based true effects, and checks every
+reduces study B to its published aggregates (an ``AggregateSummary``),
+estimates moment-matching weights that match study A's IPD to study B's
+means on the chosen balance set, fits the weighted univariable Cox model, and
+assembles marginal/conditional effect estimates plus the anchored comparison.
+``replicate_appendix`` runs the four canonical scenarios and the
+simulation-based true effects through the same core, and checks every
 headline quantity against its reference value within tolerance bands (an
 exact match is impossible because the reference values came from a different
 random-number stream).
@@ -16,18 +18,18 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import balance, estimands, stochastic
 from .cohortsim import (
+    AggregateSummary,
     CovariateSpec,
     OutcomeModelSpec,
     TrialData,
     linear_predictor,
     simulate_survival,
     simulate_trial,
+    summarize_aggregate,
 )
-from .estimands import EffectEstimate, IndirectComparison
+from .estimands import MARGINAL, EffectEstimate, IndirectComparison
 from .stochastic import Bernoulli, DistributionSpec, Normal, Poisson, seed_stream
 
 DEFAULT_SEED = 555
@@ -84,7 +86,6 @@ class ScenarioConfig:
     study_B: OutcomeModelSpec = field(default_factory=default_study_B)
     balance_set: tuple[str, ...] = ("PLNEN", "ISS", "Refr")
     interaction: tuple[str, float] | None = None
-    output_dir: str | None = None
 
     def __post_init__(self):
         for name in self.balance_set:
@@ -181,7 +182,7 @@ def parse_config(document: str | dict) -> ScenarioConfig:
     else:
         d = dict(document)
     _reject_unknown(d, ("seed", "n", "study_A", "study_B", "balance_set",
-                        "interaction", "outputs"), "")
+                        "interaction"), "")
     interaction = None
     if d.get("interaction") is not None:
         idict = d["interaction"]
@@ -190,21 +191,19 @@ def parse_config(document: str | dict) -> ScenarioConfig:
             if f not in idict:
                 raise ConfigError(f"interaction.{f}", "missing required field")
         interaction = (str(idict["covariate"]), float(idict["coefficient"]))
-    output_dir = None
-    if d.get("outputs") is not None:
-        _reject_unknown(d["outputs"], ("dir",), "outputs")
-        output_dir = d["outputs"].get("dir")
     n = int(d.get("n", DEFAULT_N))
     if n < 2 or n % 2 != 0:
         raise ConfigError("n", f"must be a positive even integer, got {n}")
+    seed = int(d.get("seed", DEFAULT_SEED))
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed", f"must lie in [0, 2**64), got {seed}")
     return ScenarioConfig(
-        seed=int(d.get("seed", DEFAULT_SEED)),
+        seed=seed,
         n=n,
         study_A=_parse_study(d.get("study_A", {}), default_study_A(), "study_A"),
         study_B=_parse_study(d.get("study_B", {}), default_study_B(), "study_B"),
         balance_set=tuple(d.get("balance_set", ("PLNEN", "ISS", "Refr"))),
         interaction=interaction,
-        output_dir=output_dir,
     )
 
 
@@ -233,7 +232,6 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
         "balance_set": list(cfg.balance_set),
         "interaction": None if cfg.interaction is None else
             {"covariate": cfg.interaction[0], "coefficient": cfg.interaction[1]},
-        "outputs": None if cfg.output_dir is None else {"dir": cfg.output_dir},
     }
 
 
@@ -292,16 +290,40 @@ class ScenarioResult:
         }, indent=2) + "\n"
 
 
+class StageError(RuntimeError):
+    """A pipeline stage failed; ``stage`` names it and ``__cause__`` holds
+    the original exception."""
+
+    def __init__(self, stage: str, cause: Exception):
+        super().__init__(f"pipeline stage {stage!r} failed: {cause}")
+        self.stage = stage
+
+
 def _stage(name, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
     except Exception as exc:
-        raise RuntimeError(f"pipeline stage {name!r} failed: {exc}") from exc
+        raise StageError(name, exc) from exc
 
 
-def _maic_estimate(trial_A: TrialData, trial_B: TrialData, balance_set):
+def simulate_studies(cfg: ScenarioConfig, stream: stochastic.RandomStream | None = None
+                     ) -> tuple[TrialData, TrialData]:
+    """Study A's and then study B's IPD under ``cfg``, drawn from ``stream``
+    (by default a fresh stream seeded with ``cfg.seed``)."""
+    if stream is None:
+        stream = seed_stream(cfg.seed)
+    model_A = _with_interaction(cfg.study_A, cfg.interaction)
+    model_B = _with_interaction(cfg.study_B, cfg.interaction)
+    trial_A = _stage("simulate_A", simulate_trial, model_A, cfg.n, stream)
+    trial_B = _stage("simulate_B", simulate_trial, model_B, cfg.n, stream)
+    return trial_A, trial_B
+
+
+def _maic_estimate(trial_A: TrialData, summary_B: AggregateSummary, balance_set):
+    """Weight study A's IPD to study B's published means on ``balance_set``
+    and fit the weighted marginal model in study B's population."""
     names = list(balance_set)
-    targets = trial_B.columns(names).mean(axis=0)
+    targets = [summary_B.mean(name) for name in names]
     prob = balance.center_covariates(trial_A.columns(names), targets, names)
     weights = balance.estimate_weights(prob)
     est = estimands.marginal_effect(trial_A, weights.w, population="S2")
@@ -309,24 +331,24 @@ def _maic_estimate(trial_A: TrialData, trial_B: TrialData, balance_set):
     return est, weights, report
 
 
-def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    """simulate -> summarize -> center -> weight -> fit -> compare."""
-    stream = seed_stream(cfg.seed)
-    model_A = _with_interaction(cfg.study_A, cfg.interaction)
-    model_B = _with_interaction(cfg.study_B, cfg.interaction)
-    trial_A = _stage("simulate_A", simulate_trial, model_A, cfg.n, stream)
-    trial_B = _stage("simulate_B", simulate_trial, model_B, cfg.n, stream)
+def _run_core(cfg: ScenarioConfig, stream: stochastic.RandomStream):
+    """simulate -> summarize B -> fit -> weight A to B's means -> compare.
+
+    Returns the result with the two trials and study B's summary, for
+    callers that go on to further scenarios on the same data."""
+    trial_A, trial_B = simulate_studies(cfg, stream)
+    summary_B = _stage("summarize_B", summarize_aggregate, trial_B)
     marginal_AC = _stage("fit_marginal_A", estimands.marginal_effect,
                          trial_A, population="S1")
-    marginal_BC = _stage("fit_marginal_B", estimands.marginal_effect,
-                         trial_B, population="S2")
+    marginal_BC = EffectEstimate(summary_B.log_hr, summary_B.se, MARGINAL, "S2")
     conditional_AC = _stage("fit_conditional_A", estimands.conditional_effect,
-                            trial_A, _prognostic_set(model_A), population="S1")
+                            trial_A, _prognostic_set(cfg.study_A), population="S1")
+    # study B's IPD serves only this simulation-side quantity, never MAIC
     conditional_BC = _stage("fit_conditional_B", estimands.conditional_effect,
-                            trial_B, _prognostic_set(model_B), population="S2")
+                            trial_B, _prognostic_set(cfg.study_B), population="S2")
     maic, weights, report = _stage("weights", _maic_estimate,
-                                   trial_A, trial_B, cfg.balance_set)
-    return ScenarioResult(
+                                   trial_A, summary_B, cfg.balance_set)
+    result = ScenarioResult(
         config=cfg,
         marginal_AC_S1=marginal_AC,
         conditional_AC_S1=conditional_AC,
@@ -339,6 +361,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         bucher=estimands.bucher_compare(maic, marginal_BC),
         balance=report,
     )
+    return result, trial_A, trial_B, summary_B
+
+
+def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
+    """One scenario on a fresh stream seeded with ``cfg.seed``."""
+    return _run_core(cfg, seed_stream(cfg.seed))[0]
 
 
 TRUE_MARGINAL_LOG_HR = math.log(0.76)
@@ -398,59 +426,57 @@ def replicate_appendix(seed: int = DEFAULT_SEED, n: int = DEFAULT_N) -> Replicat
     """Run the four canonical scenarios plus the true-effect computation and
     compare every headline quantity against its reference value."""
     stream = seed_stream(seed)
-    model_A = default_study_A()
-    model_B = default_study_B()
-
-    trial_A = simulate_trial(model_A, n, stream)
-    trial_B = simulate_trial(model_B, n, stream)
-
-    prognostic = ["PLNEN", "ISS", "Refr"]
-    marginal_AC = estimands.marginal_effect(trial_A, population="S1")
-    marginal_BC = estimands.marginal_effect(trial_B, population="S2")
-    conditional_AC = estimands.conditional_effect(trial_A, prognostic, "S1")
-    conditional_BC = estimands.conditional_effect(trial_B, prognostic, "S2")
-
-    maic1, w1, report1 = _maic_estimate(trial_A, trial_B, prognostic)
-    maic2, w2, _ = _maic_estimate(trial_A, trial_B, ["PLNEN"])
-    ratio_marginal = estimands.hr_ratio(maic1, marginal_BC)
-    ratio_conditional = estimands.hr_ratio(conditional_AC, conditional_BC)
+    cfg = ScenarioConfig(seed=seed, n=n)
+    s1, trial_A, trial_B, summary_B = _run_core(cfg, stream)
 
     # scenarios 3 and 4: same covariates, outcomes re-simulated with an
     # age-by-treatment interaction in both studies
-    interaction = ("Age", 0.005)
-    model_A3 = _with_interaction(model_A, interaction)
-    model_B3 = _with_interaction(model_B, interaction)
-    lp_A3 = linear_predictor(trial_A.X, trial_A.trt, model_A3)
-    time_A3, status_A3 = simulate_survival(lp_A3, model_A3, stream)
+    model_A3 = _with_interaction(cfg.study_A, ("Age", 0.005))
+    model_B3 = _with_interaction(cfg.study_B, ("Age", 0.005))
+    time_A3, status_A3 = simulate_survival(
+        linear_predictor(trial_A.X, trial_A.trt, model_A3), model_A3, stream)
     trial_A3 = TrialData(trial_A.covariate_names, trial_A.X, trial_A.trt,
                          time_A3, status_A3)
-    lp_B3 = linear_predictor(trial_B.X, trial_B.trt, model_B3)
-    simulate_survival(lp_B3, model_B3, stream)  # study-B outcomes, unused below
-    maic3, w3, _ = _maic_estimate(trial_A3, trial_B, prognostic + ["Age"])
-    maic4, w4, _ = _maic_estimate(trial_A3, trial_B, ["Age"])
+    # study B's outcomes under the interaction are unused; the draw keeps
+    # the order of the stream
+    simulate_survival(linear_predictor(trial_B.X, trial_B.trt, model_B3),
+                      model_B3, stream)
+
+    # scenarios 2-4 as (study-A trial, balance set), each weighted to
+    # scenario 1's study-B summary
+    prognostic = list(cfg.balance_set)
+    (maic2, w2, _), (maic3, w3, _), (maic4, _, _) = (
+        _maic_estimate(trial, summary_B, names)
+        for trial, names in ((trial_A, ["PLNEN"]),
+                             (trial_A3, prognostic + ["Age"]),
+                             (trial_A3, ["Age"])))
 
     # simulation-based true marginal effects of the A-vs-C model in each
     # study population
+    model_A = cfg.study_A
     model_A_in_S2 = OutcomeModelSpec(model_A.treatment_log_hr,
                                      model_A.baseline_rate,
                                      model_A.censoring_rate,
-                                     model_B.covariates)
+                                     cfg.study_B.covariates)
     true_S1 = estimands.simulated_marginal_loghr(model_A, n, stream)
     true_S2 = estimands.simulated_marginal_loghr(model_A_in_S2, n, stream)
 
+    maic1, marginal_AC = s1.maic_AC_S2, s1.marginal_AC_S1
     combined_se = math.sqrt(maic1.se**2 + marginal_AC.se**2)
     rows = (
         ReportRow("marginal_hr_AC_S1", marginal_AC.hr, 0.7575748, (0.747, 0.768)),
-        ReportRow("marginal_hr_BC_S2", marginal_BC.hr, 0.7697989, (0.760, 0.780)),
-        ReportRow("conditional_hr_AC_S1", conditional_AC.hr, 0.5294677, (0.522, 0.538)),
-        ReportRow("conditional_hr_BC_S2", conditional_BC.hr, 0.5500948, (0.542, 0.558)),
+        ReportRow("marginal_hr_BC_S2", s1.marginal_BC_S2.hr, 0.7697989, (0.760, 0.780)),
+        ReportRow("conditional_hr_AC_S1", s1.conditional_AC_S1.hr, 0.5294677,
+                  (0.522, 0.538)),
+        ReportRow("conditional_hr_BC_S2", s1.conditional_BC_S2.hr, 0.5500948,
+                  (0.542, 0.558)),
         ReportRow("maic_hr_scenario1", maic1.hr, 0.7575572, (0.747, 0.768)),
         ReportRow("maic_hr_scenario2", maic2.hr, 0.7575059, (0.747, 0.768)),
-        ReportRow("marginal_hr_ratio", ratio_marginal, 0.9840976, (0.974, 0.994)),
-        ReportRow("conditional_hr_ratio", ratio_conditional,
+        ReportRow("marginal_hr_ratio", s1.hr_ratio_marginal, 0.9840976, (0.974, 0.994)),
+        ReportRow("conditional_hr_ratio", s1.hr_ratio_conditional,
                   CONDITIONAL_HR_RATIO, (0.944, 0.984)),
         ReportRow("noncollapsibility_gap",
-                  abs(ratio_marginal - CONDITIONAL_HR_RATIO), None,
+                  abs(s1.hr_ratio_marginal - CONDITIONAL_HR_RATIO), None,
                   (0.01, math.inf)),
         ReportRow("maic_hr_scenario3", maic3.hr, 0.8765244, (0.864, 0.889)),
         ReportRow("maic_hr_scenario4", maic4.hr, 0.8769922, (0.864, 0.889)),
@@ -461,12 +487,12 @@ def replicate_appendix(seed: int = DEFAULT_SEED, n: int = DEFAULT_N) -> Replicat
         ReportRow("true_marginal_loghr_AC_S2", true_S2, TRUE_MARGINAL_LOG_HR,
                   (TRUE_MARGINAL_LOG_HR - 0.02, TRUE_MARGINAL_LOG_HR + 0.02)),
         ReportRow("true_effect_gap", abs(true_S1 - true_S2), 0.0, (0.0, 0.02)),
-        ReportRow("scenario1_balance_gap_max", float(report1.abs_gaps.max()),
+        ReportRow("scenario1_balance_gap_max", float(s1.balance.abs_gaps.max()),
                   None, (0.0, 1e-6)),
-        ReportRow("scenario1_ess_fraction", w1.ess / n, None, (0.0, 1.0 - 1e-12)),
-        ReportRow("ess_scenario2_minus_scenario1", w2.ess - w1.ess, None,
+        ReportRow("scenario1_ess_fraction", s1.ess / n, None, (0.0, 1.0 - 1e-12)),
+        ReportRow("ess_scenario2_minus_scenario1", w2.ess - s1.ess, None,
                   (0.0, math.inf)),
-        ReportRow("ess_scenario1_minus_scenario3", w1.ess - w3.ess, None,
+        ReportRow("ess_scenario1_minus_scenario3", s1.ess - w3.ess, None,
                   (0.0, math.inf)),
         ReportRow("maic_vs_naive_gap_in_combined_se",
                   abs(maic1.log_hr - marginal_AC.log_hr) / combined_se, None,

@@ -10,6 +10,7 @@ Poisson sampler.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -38,10 +39,6 @@ class RandomStream:
     def uniform(self) -> float:
         return float(self.uniforms(1)[0])
 
-    def spawn(self, index: int) -> "RandomStream":
-        """Independent substream for replicate ``index`` (seed XOR index)."""
-        return RandomStream(self.seed ^ (0x9E3779B97F4A7C15 * (index + 1) % 2**64))
-
 
 def seed_stream(seed: int) -> RandomStream:
     return RandomStream(seed)
@@ -67,8 +64,11 @@ class Poisson:
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"Poisson lambda must be positive, got {self.lam}")
+        # the inversion sampler compares against exp(-lam); once that
+        # underflows (lam > 708.396) it never stops multiplying uniforms
+        if not (self.lam > 0 and math.exp(-self.lam) >= sys.float_info.min):
+            raise ValueError(
+                f"Poisson lambda must lie in (0, 708.396], got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,8 @@ def exponential_inverse(u, rate: float):
 
 def _draw_poisson(stream: RandomStream, lam: float, n: int) -> np.ndarray:
     # Multiplicative inversion: multiply uniforms until the running product
-    # drops below exp(-lam). Valid for moderate lam (here lam <= ~30).
+    # drops below exp(-lam). Exact while exp(-lam) is a normal double (see
+    # Poisson); the number of passes grows with lam.
     limit = math.exp(-lam)
     counts = np.zeros(n)
     prod = stream.uniforms(n)
@@ -124,7 +125,3 @@ def draw_variates(stream: RandomStream, dist: DistributionSpec, n: int) -> np.nd
     if isinstance(dist, Exponential):
         return exponential_inverse(stream.uniforms(n), dist.rate)
     raise TypeError(f"unknown distribution spec: {dist!r}")
-
-
-def draw_variate(stream: RandomStream, dist: DistributionSpec) -> float:
-    return float(draw_variates(stream, dist, 1)[0])

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from maicsim import cli
-from maicsim.balance import OptimizerSettings, bfgs_minimize, center_covariates, \
-    estimate_weights, objective_and_gradient
+from maicsim.balance import bfgs_minimize, center_covariates, estimate_weights, \
+    objective_and_gradient
 from maicsim.coxph import SurvivalSample, fit_cox, partial_loglik, \
     score_and_information
 from maicsim.estimands import ScaleMismatch, bucher_compare
@@ -128,9 +128,8 @@ def test_criterion_9_closed_form_oracles():
     beta = fit_cox(data).beta[0]
     assert beta == pytest.approx(math.log(math.sqrt(2)), abs=1e-6)
     prob = center_covariates(np.array([[-1.0], [2.0]]), [0.0])
-    alpha, diag = bfgs_minimize(lambda a: objective_and_gradient(a, prob),
-                                OptimizerSettings(initial_alpha=np.zeros(1)))
-    assert diag.converged
+    alpha, converged, _, _ = bfgs_minimize(lambda a: objective_and_gradient(a, prob), 1)
+    assert converged
     assert alpha[0] == pytest.approx(-math.log(2) / 3, abs=1e-6)
     print("PASS: Cox ln(sqrt 2) and tilting -ln(2)/3 closed forms within 1e-6")
 

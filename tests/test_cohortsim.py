@@ -7,12 +7,9 @@ from scipy import stats
 from maicsim.cohortsim import (
     CovariateSpec,
     OutcomeModelSpec,
-    SelectionModelSpec,
     TrialData,
-    assign_study_membership,
     latent_event_times,
     linear_predictor,
-    selection_probabilities,
     simulate_covariates,
     simulate_survival,
     simulate_trial,
@@ -164,39 +161,6 @@ def test_randomization_balance():
         assert gap < 4 * se
 
 
-def test_selection_probabilities_hand_values():
-    sel = SelectionModelSpec(theta_age=0.1, theta_iss=0.1)
-    X = np.array([[65.0, 0.0], [75.0, 1.0]])
-    p = selection_probabilities(X, ["Age", "ISS"], sel)
-    assert p[0] == pytest.approx(0.5, abs=1e-12)
-    assert p[1] == pytest.approx(0.7502601, abs=1e-6)
-
-
-def test_null_selection_model():
-    sel = SelectionModelSpec(0.0, 0.0)
-    X = np.random.default_rng(0).normal(65, 5, size=(100, 2))
-    assert np.all(selection_probabilities(X, ["Age", "ISS"], sel) == 0.5)
-
-
-def test_selection_missing_column():
-    with pytest.raises(KeyError):
-        selection_probabilities(np.zeros((3, 2)), ["Age", "Other"],
-                                SelectionModelSpec(0.1, 0.1))
-
-
-def test_membership_shifts_age():
-    rng = seed_stream(33)
-    X = np.column_stack([
-        np.asarray(simulate_covariates([CovariateSpec("Age", Normal(65, 5))],
-                                       10**5, rng))[:, 0],
-        simulate_covariates([CovariateSpec("ISS", Bernoulli(0.7))], 10**5, rng)[:, 0],
-    ])
-    names = ["Age", "ISS"]
-    s_null = assign_study_membership(X, names, SelectionModelSpec(0.0, 0.1), seed_stream(1))
-    s_sel = assign_study_membership(X, names, SelectionModelSpec(0.1, 0.1), seed_stream(1))
-    assert X[s_sel == 1, 0].mean() > X[s_null == 1, 0].mean()
-
-
 def test_summarize_aggregate_means_and_loghr():
     trial = small_trial(n=4000)
     summary = summarize_aggregate(trial)
@@ -230,6 +194,17 @@ def test_csv_round_trip():
     np.testing.assert_allclose(back.time, trial.time, rtol=1e-9)
     assert np.array_equal(back.trt, trial.trt)
     assert np.array_equal(back.status, trial.status)
+
+
+def test_csv_empty_text_rejected():
+    with pytest.raises(ValueError, match="empty"):
+        trial_from_csv("")
+
+
+def test_csv_header_only_rejected():
+    header = trial_to_csv(small_trial(n=50)).splitlines()[0]
+    with pytest.raises(ValueError, match="no subject rows"):
+        trial_from_csv(header + "\n")
 
 
 def test_trial_data_validation():

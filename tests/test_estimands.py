@@ -14,7 +14,7 @@ from maicsim.estimands import (
     conditional_effect,
     hr_ratio,
     marginal_effect,
-    true_marginal_effect,
+    simulated_marginal_loghr,
 )
 from maicsim.stochastic import Bernoulli, seed_stream
 
@@ -111,10 +111,5 @@ def test_collapsible_degenerate_case():
 
 def test_true_marginal_effect_without_prognostic_covariates():
     model = OutcomeModelSpec(-0.3, RATE, 0.0, ())
-    value = true_marginal_effect(model, 10**5, seed_stream(5))
+    value = simulated_marginal_loghr(model, 10**5, seed_stream(5))
     assert value == pytest.approx(-0.3, abs=0.03)
-
-
-def test_true_marginal_effect_requires_large_n():
-    with pytest.raises(ValueError):
-        true_marginal_effect(study_A_model(), 10**4, seed_stream(0))

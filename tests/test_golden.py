@@ -1,0 +1,55 @@
+"""Golden regression: today's numbers must equal the pinned ones.
+
+``golden.json`` holds the outputs of the code as it was before the scenario
+core was shared (commit c83fd37), at n = 2000 so the test stays fast. Tests
+that compare two runs of one commit cannot catch a refactor that reorders
+draws from the random stream; this one can.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from maicsim import cli
+from maicsim.harness import parse_config, replicate_appendix, run_scenario
+
+GOLDEN = Path(__file__).with_name("golden.json")
+REL = 1e-12
+SCENARIOS = {
+    "default": {"n": 2000},
+    "age_interaction": {"n": 2000,
+                        "interaction": {"covariate": "Age", "coefficient": 0.005}},
+}
+
+
+def observed(work: Path) -> dict:
+    """Every pinned quantity, computed by the code under test."""
+    config = work / "config.json"
+    config.write_text(json.dumps(SCENARIOS["default"]))
+    cli.main(["simulate", "--config", str(config), "--out", str(work / "data")])
+    return {
+        "scenario": {name: json.loads(run_scenario(parse_config(doc)).to_json())
+                     for name, doc in SCENARIOS.items()},
+        "replicate_seed5_n2000": {r.quantity: r.ours
+                                  for r in replicate_appendix(seed=5, n=2000).rows},
+        "simulate_sha256": {
+            name: hashlib.sha256((work / "data" / name).read_bytes()).hexdigest()
+            for name in ("study_A.csv", "study_B.csv", "targets.json")},
+    }
+
+
+def differences(got, want, path="") -> list[str]:
+    if isinstance(want, dict):
+        if set(got) != set(want):
+            return [f"{path}: keys {sorted(got)} != {sorted(want)}"]
+        return [d for k in want for d in differences(got[k], want[k], f"{path}.{k}")]
+    if isinstance(want, float):
+        if got == want or abs(got - want) <= REL * abs(want):
+            return []
+        return [f"{path}: {got!r} != {want!r}"]
+    return [] if got == want else [f"{path}: {got!r} != {want!r}"]
+
+
+def test_outputs_match_pinned_values(tmp_path):
+    want = json.loads(GOLDEN.read_text())
+    assert differences(observed(tmp_path), want) == []

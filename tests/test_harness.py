@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from maicsim import cli
+from maicsim.balance import TargetOutsideSupport
 from maicsim.harness import (
     ConfigError,
     ScenarioConfig,
+    StageError,
     config_to_dict,
     parse_config,
     replicate_appendix,
@@ -41,6 +43,8 @@ def test_empty_document_yields_appendix_defaults():
 def test_unknown_top_level_field():
     with pytest.raises(ConfigError, match="bogus"):
         parse_config('{"bogus": 1}')
+    with pytest.raises(ConfigError, match="outputs"):
+        parse_config('{"outputs": {"dir": "out"}}')
 
 
 def test_unknown_nested_field_names_path():
@@ -69,6 +73,15 @@ def test_invalid_parameter_reported_with_path():
     doc = {"study_A": {"baseline_rate": -1.0}}
     with pytest.raises(ConfigError, match="study_A"):
         parse_config(doc)
+    # lambdas whose exp(-lambda) underflows would hang the Poisson sampler
+    for lam in ("1000", "Infinity"):
+        text = ('{"study_B": {"covariates": [{"name": "PLNEN", '
+                '"dist": {"kind": "poisson", "lam": %s}}]}}' % lam)
+        with pytest.raises(ConfigError, match=r"study_B\.covariates\[0\]\.dist"):
+            parse_config(text)
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config({"seed": seed})
 
 
 def test_odd_n_rejected():
@@ -135,8 +148,11 @@ def test_stage_annotation_on_failure():
         {"name": "Age", "dist": {"kind": "bernoulli", "p": 0.0}}]}
     doc["study_B"] = {"covariates": [
         {"name": "Age", "dist": {"kind": "bernoulli", "p": 0.9}}]}
-    with pytest.raises(RuntimeError, match="weights"):
+    with pytest.raises(RuntimeError, match="pipeline stage 'weights' failed") as info:
         run_scenario(parse_config(doc))
+    assert isinstance(info.value, StageError)
+    assert info.value.stage == "weights"
+    assert isinstance(info.value.__cause__, TargetOutsideSupport)
 
 
 def test_cli_simulate_weights_fit(tmp_path: Path):

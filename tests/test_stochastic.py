@@ -10,7 +10,6 @@ from maicsim.stochastic import (
     Normal,
     Poisson,
     Uniform01,
-    draw_variate,
     draw_variates,
     exponential_inverse,
     seed_stream,
@@ -35,9 +34,9 @@ def test_uniforms_in_open_interval():
 def test_reproducible_across_mixed_call_sequence():
     def run():
         s = seed_stream(42)
-        out = [draw_variate(s, Normal(0, 1))]
+        out = list(draw_variates(s, Normal(0, 1), 1))
         out.extend(draw_variates(s, Poisson(3.4), 5))
-        out.append(draw_variate(s, Exponential(2.0)))
+        out.extend(draw_variates(s, Exponential(2.0), 1))
         out.extend(draw_variates(s, Bernoulli(0.3), 3))
         return out
 
@@ -52,6 +51,9 @@ def test_reproducible_across_mixed_call_sequence():
     lambda: Bernoulli(-0.1),
     lambda: Bernoulli(1.1),
     lambda: Exponential(0),
+    # exp(-lambda) underflows: the inversion sampler would never stop
+    lambda: Poisson(709.0),
+    lambda: Poisson(math.inf),
 ])
 def test_parameter_validation(bad):
     with pytest.raises(ValueError):
@@ -94,6 +96,11 @@ def test_draw_count_poisson_inversion():
     s = seed_stream(9)
     x = draw_variates(s, Poisson(3.4), 1000)
     assert s.draw_count == int(x.sum()) + 1000
+
+
+def test_poisson_largest_lambda_terminates():
+    x = draw_variates(seed_stream(10), Poisson(708.0), 20)
+    assert abs(x.mean() - 708.0) < 4 * math.sqrt(708.0 / 20)
 
 
 def test_uniform_ks():
