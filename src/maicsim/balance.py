@@ -1,10 +1,10 @@
 """Moment-matching weight estimation for population adjustment.
 
 IPD covariates are centered on the target (aggregate) means; minimizing the
-convex objective Q(alpha) = sum_i exp(Xc_i . alpha) with a quasi-Newton
-method yields tilting coefficients whose weights w_i = exp(Xc_i . alpha)
-satisfy the first-order moment condition: weighted IPD covariate means equal
-the target means.
+convex objective Q(alpha) = sum_i exp(Xc_i . alpha) by Newton's method, with
+the analytic Hessian Xc' diag(w) Xc, yields tilting coefficients whose
+weights w_i = exp(Xc_i . alpha) satisfy the first-order moment condition:
+weighted IPD covariate means equal the target means.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import newton
+
 _MAX_EXPONENT = 700.0     # beyond this exp() overflows a double
-_GRAD_TOL = 1e-8          # BFGS stops when max |gradient| falls to this
-_MAX_ITERS = 500
 _DIVERGENCE_NORM = 50.0   # |alpha| beyond this: the targets are unreachable
 
 
@@ -27,7 +27,6 @@ class TargetOutsideSupport(Exception):
 @dataclass(frozen=True)
 class BalanceProblem:
     Xc: np.ndarray                      # n x K, centered on target means
-    target_means: np.ndarray
     covariate_names: tuple[str, ...]
 
     @property
@@ -60,7 +59,7 @@ def center_covariates(X_ipd: np.ndarray, target_means, names=None) -> BalancePro
     names = tuple(names)
     if len(names) != X_ipd.shape[1]:
         raise ValueError("covariate names do not match column count")
-    return BalanceProblem(X_ipd - target, target, names)
+    return BalanceProblem(X_ipd - target, names)
 
 
 def objective_and_gradient(alpha: np.ndarray, prob: BalanceProblem):
@@ -72,49 +71,20 @@ def objective_and_gradient(alpha: np.ndarray, prob: BalanceProblem):
     return float(w.sum()), prob.Xc.T @ w
 
 
-def bfgs_minimize(evaluator, k: int, divergence_norm: float | None = None):
-    """Quasi-Newton minimization over R^k from alpha = 0, with inverse-Hessian
-    (BFGS) updates and a backtracking Armijo line search.
+def _newton_terms(alpha: np.ndarray, prob: BalanceProblem):
+    """Q, its gradient and its Hessian Xc' diag(w) Xc."""
+    q, g = objective_and_gradient(alpha, prob)
+    if not np.isfinite(q):
+        return q, g, None
+    w = np.exp(prob.Xc @ alpha)
+    return q, g, prob.Xc.T @ (w[:, None] * prob.Xc)
 
-    ``evaluator`` maps alpha to (value, gradient). Stops when the gradient
-    infinity norm falls to ``_GRAD_TOL``, after ``_MAX_ITERS`` iterations, or
-    (if ``divergence_norm`` is set) once the iterate's 2-norm exceeds it.
-    Returns (alpha, converged, iterations, grad_norm).
-    """
-    alpha = np.zeros(k)
-    f, g = evaluator(alpha)
-    if not np.isfinite(f):
-        raise ValueError("objective is not finite at the starting point")
-    hinv = np.eye(k)
-    iterations = 0
-    while np.max(np.abs(g)) > _GRAD_TOL and iterations < _MAX_ITERS:
-        direction = -hinv @ g
-        if direction @ g >= 0:  # safeguard: fall back to steepest descent
-            direction = -g
-        step = 1.0
-        f_new, g_new, alpha_new = None, None, None
-        for _ in range(60):
-            cand = alpha + step * direction
-            fc, gc = evaluator(cand)
-            if np.isfinite(fc) and fc <= f + 1e-4 * step * (direction @ g):
-                f_new, g_new, alpha_new = fc, gc, cand
-                break
-            step *= 0.5
-        if alpha_new is None:
-            break  # line search failed; gradient norm reported below
-        s = alpha_new - alpha
-        y = g_new - g
-        sy = s @ y
-        if sy > 1e-12:
-            rho = 1.0 / sy
-            v = np.eye(k) - rho * np.outer(s, y)
-            hinv = v @ hinv @ v.T + rho * np.outer(s, s)
-        alpha, f, g = alpha_new, f_new, g_new
-        iterations += 1
-        if divergence_norm is not None and np.linalg.norm(alpha) > divergence_norm:
-            break
-    grad_norm = float(np.max(np.abs(g)))
-    return alpha, grad_norm <= _GRAD_TOL, iterations, grad_norm
+
+def _check_bound(alpha: np.ndarray):
+    if np.linalg.norm(alpha) > _DIVERGENCE_NORM:
+        raise TargetOutsideSupport(
+            "tilting coefficients diverged; target means lie outside the "
+            "convex hull of the IPD covariates")
 
 
 def estimate_weights(prob: BalanceProblem) -> MaicWeights:
@@ -122,13 +92,8 @@ def estimate_weights(prob: BalanceProblem) -> MaicWeights:
         raise ValueError("at least one covariate is required")
     if prob.n <= prob.K:
         raise ValueError(f"need n > K, got n={prob.n}, K={prob.K}")
-    alpha, converged, iterations, grad_norm = bfgs_minimize(
-        lambda a: objective_and_gradient(a, prob), prob.K,
-        divergence_norm=_DIVERGENCE_NORM)
-    if not converged and np.linalg.norm(alpha) > _DIVERGENCE_NORM:
-        raise TargetOutsideSupport(
-            "tilting coefficients diverged; target means lie outside the "
-            "convex hull of the IPD covariates")
+    alpha, _, grad, _, converged, iterations = newton.minimize(
+        lambda a: _newton_terms(a, prob), prob.K, _check_bound)
     w = np.exp(prob.Xc @ alpha)
     # a vanishing gradient with collapsed weights is divergence in disguise:
     # the moment condition must hold relative to the weight total
@@ -143,7 +108,7 @@ def estimate_weights(prob: BalanceProblem) -> MaicWeights:
         w=w,
         ess=effective_sample_size(w),
         converged=converged,
-        grad_norm=grad_norm,
+        grad_norm=float(np.max(np.abs(grad))),
         iterations=iterations,
     )
 

@@ -24,8 +24,8 @@ def _cmd_simulate(args) -> int:
     trial_A, trial_B = harness.simulate_studies(cfg)
     (out / "study_A.csv").write_text(cohortsim.trial_to_csv(trial_A))
     (out / "study_B.csv").write_text(cohortsim.trial_to_csv(trial_B))
-    targets = {name: float(trial_B.column(name).mean())
-               for name in trial_B.covariate_names}
+    targets = dict(zip(trial_B.covariate_names,
+                       map(float, cohortsim.covariate_means(trial_B))))
     (out / "targets.json").write_text(json.dumps(targets, indent=2) + "\n")
     print(f"wrote study_A.csv, study_B.csv, targets.json to {out}")
     return 0

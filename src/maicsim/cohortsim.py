@@ -150,6 +150,11 @@ def simulate_trial(model: OutcomeModelSpec, n: int, stream: RandomStream) -> Tri
     return TrialData(model.covariate_names, X, trt, time, status)
 
 
+def covariate_means(trial: TrialData) -> np.ndarray:
+    """Each covariate's mean, summed column by column for every caller."""
+    return np.array([trial.X[:, k].mean() for k in range(trial.X.shape[1])])
+
+
 def summarize_aggregate(trial: TrialData) -> AggregateSummary:
     """What a trial publishes: each covariate's mean, and the treatment log
     hazard ratio of the unweighted univariable Cox fit with its model SE."""
@@ -158,7 +163,7 @@ def summarize_aggregate(trial: TrialData) -> AggregateSummary:
     fit = fit_cox(SurvivalSample(trial.time, trial.status, trial.trt[:, None]))
     return AggregateSummary(
         covariate_names=trial.covariate_names,
-        means=trial.X.mean(axis=0),
+        means=covariate_means(trial),
         log_hr=float(fit.beta[0]),
         se=float(fit.se_model[0]),
     )

@@ -11,9 +11,13 @@ Lin-Wei robust sandwich built from per-subject score residuals.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from . import newton
+
+_BETA_BOUND = 15.0  # |beta|_inf beyond this flags separation
 
 
 class CoxError(Exception):
@@ -31,14 +35,6 @@ class SingularInformation(CoxError):
 class MonotoneLikelihood(CoxError):
     """Coefficients diverging (separation); the partial likelihood has no
     finite maximizer."""
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    score_tol: float = 1e-9   # infinity norm of the score at convergence
-    max_iters: int = 50
-    max_halvings: int = 10
-    beta_bound: float = 15.0  # |beta|_inf beyond this flags separation
 
 
 @dataclass(frozen=True)
@@ -121,19 +117,13 @@ class _SortedSample:
 
 
 def partial_loglik(beta: np.ndarray, data: SurvivalSample) -> float:
-    beta = np.asarray(beta, dtype=float)
-    s = _SortedSample(data)
-    eta, s0, _, _ = s.risk_sums(beta)
-    e = s.events
-    return float(np.sum(s.w[e] * (eta[e] - np.log(s0[e]))))
+    return _score_info(_SortedSample(data), np.asarray(beta, dtype=float))[0]
 
 
 def score_and_information(beta: np.ndarray, data: SurvivalSample):
     """Analytic gradient and negative Hessian of the weighted partial
     log-likelihood."""
-    beta = np.asarray(beta, dtype=float)
-    s = _SortedSample(data)
-    return _score_info(s, beta)[1:]
+    return _score_info(_SortedSample(data), np.asarray(beta, dtype=float))[1:]
 
 
 def _score_info(s: _SortedSample, beta: np.ndarray):
@@ -148,57 +138,35 @@ def _score_info(s: _SortedSample, beta: np.ndarray):
     return loglik, grad, info
 
 
-def fit_cox(data: SurvivalSample, settings: SolverSettings = SolverSettings()) -> CoxFit:
-    """Newton-Raphson from beta = 0 with step-halving."""
+def _check_bound(beta: np.ndarray):
+    if np.max(np.abs(beta)) > _BETA_BOUND:
+        raise MonotoneLikelihood(f"|beta| exceeded {_BETA_BOUND}; likely separation")
+
+
+def fit_cox(data: SurvivalSample) -> CoxFit:
+    """Damped Newton from beta = 0 on the negated partial log-likelihood."""
     s = _SortedSample(data)
-    p = data.p
-    beta = np.zeros(p)
-    loglik, grad, info = _score_info(s, beta)
-    if np.linalg.matrix_rank(info) < p:
-        raise SingularInformation("information matrix is singular at beta=0 "
-                                  "(constant or collinear design column)")
-    iterations = 0
-    converged = False
-    for iterations in range(1, settings.max_iters + 1):
-        if np.max(np.abs(grad)) <= settings.score_tol:
-            converged = True
-            iterations -= 1
-            break
-        try:
-            step = np.linalg.solve(info, grad)
-        except np.linalg.LinAlgError as exc:
-            raise SingularInformation(str(exc)) from exc
-        scale = 1.0
-        for _ in range(settings.max_halvings + 1):
-            cand = beta + scale * step
-            cand_ll, cand_grad, cand_info = _score_info(s, cand)
-            if np.isfinite(cand_ll) and cand_ll >= loglik:
-                break
-            scale *= 0.5
-        beta, loglik, grad, info = cand, cand_ll, cand_grad, cand_info
-        if np.max(np.abs(beta)) > settings.beta_bound:
-            raise MonotoneLikelihood(
-                f"|beta| exceeded {settings.beta_bound}; likely separation")
-    else:
-        iterations = settings.max_iters
-    score_norm = float(np.max(np.abs(grad)))
-    converged = converged or score_norm <= settings.score_tol
+
+    def evaluate(beta):
+        loglik, grad, info = _score_info(s, beta)
+        return -loglik, -grad, info
+
     try:
+        beta, neg_loglik, neg_score, info, converged, iterations = newton.minimize(
+            evaluate, data.p, _check_bound)
         cov_model = np.linalg.inv(info)
     except np.linalg.LinAlgError as exc:
         raise SingularInformation(str(exc)) from exc
     se_model = np.sqrt(np.diag(cov_model))
-    fit = CoxFit(
+    return CoxFit(
         beta=beta,
         se_model=se_model,
-        se_robust=se_model.copy(),
-        loglik_at_solution=loglik,
+        se_robust=np.sqrt(np.diag(_sandwich(s, beta, cov_model))),
+        loglik_at_solution=-neg_loglik,
         iterations=iterations,
         converged=converged,
-        score_norm=score_norm,
+        score_norm=float(np.max(np.abs(neg_score))),
     )
-    fit.se_robust = np.sqrt(np.diag(robust_variance(fit, data)))
-    return fit
 
 
 def score_residuals(beta: np.ndarray, data: SurvivalSample) -> np.ndarray:
@@ -206,8 +174,14 @@ def score_residuals(beta: np.ndarray, data: SurvivalSample) -> np.ndarray:
 
     Sum_i w_i U_i equals the score, hence vanishes at the optimum.
     """
-    beta = np.asarray(beta, dtype=float)
     s = _SortedSample(data)
+    out = np.empty((data.n, data.p))
+    out[s.order] = _residuals(s, np.asarray(beta, dtype=float))
+    return out
+
+
+def _residuals(s: _SortedSample, beta: np.ndarray) -> np.ndarray:
+    """Score residuals in the time order of ``s``."""
     eta, s0, s1, _ = s.risk_sums(beta)
     zbar = s1 / s0[:, None]
     # cumulative event-time sums d(t)/S0(t) and d(t)*zbar(t)/S0(t) up to each
@@ -217,20 +191,20 @@ def score_residuals(beta: np.ndarray, data: SurvivalSample) -> np.ndarray:
     g0 = np.cumsum(inc0)[s.last]
     g1 = np.cumsum(inc1, axis=0)[s.last]
     expeta = np.exp(eta)
-    u = (s.d[:, None] * (s.z - zbar)
-         - expeta[:, None] * (g0[:, None] * s.z - g1))
-    out = np.empty_like(u)
-    out[s.order] = u
-    return out
+    return (s.d[:, None] * (s.z - zbar)
+            - expeta[:, None] * (g0[:, None] * s.z - g1))
 
 
 def robust_variance(fit: CoxFit, data: SurvivalSample) -> np.ndarray:
     """Lin-Wei sandwich: inv(I) (sum_i w_i^2 U_i U_i') inv(I)."""
-    _, info = score_and_information(fit.beta, data)
+    s = _SortedSample(data)
     try:
-        bread = np.linalg.inv(info)
+        bread = np.linalg.inv(_score_info(s, fit.beta)[2])
     except np.linalg.LinAlgError as exc:
         raise SingularInformation(str(exc)) from exc
-    uw = data.w[:, None] * score_residuals(fit.beta, data)
-    meat = uw.T @ uw
-    return bread @ meat @ bread
+    return _sandwich(s, fit.beta, bread)
+
+
+def _sandwich(s: _SortedSample, beta: np.ndarray, bread: np.ndarray) -> np.ndarray:
+    uw = s.w[:, None] * _residuals(s, beta)
+    return bread @ (uw.T @ uw) @ bread

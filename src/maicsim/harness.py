@@ -104,12 +104,13 @@ def _reject_unknown(d: dict, allowed, path: str):
             raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
 
 
-_DIST_FIELDS = {
-    "uniform01": (),
-    "normal": ("mean", "sd"),
-    "poisson": ("lam",),
-    "bernoulli": ("p",),
-    "exponential": ("rate",),
+# kind -> (spec class, its parameters in config order)
+_DISTS = {
+    "uniform01": (stochastic.Uniform01, ()),
+    "normal": (Normal, ("mean", "sd")),
+    "poisson": (Poisson, ("lam",)),
+    "bernoulli": (Bernoulli, ("p",)),
+    "exponential": (stochastic.Exponential, ("rate",)),
 }
 
 
@@ -117,16 +118,13 @@ def _parse_dist(d: dict, path: str) -> DistributionSpec:
     if "kind" not in d:
         raise ConfigError(f"{path}.kind", "missing required field")
     kind = d["kind"]
-    if kind not in _DIST_FIELDS:
+    if kind not in _DISTS:
         raise ConfigError(f"{path}.kind", f"unknown distribution kind {kind!r}")
-    fields = _DIST_FIELDS[kind]
+    cls, fields = _DISTS[kind]
     _reject_unknown(d, ("kind", *fields), path)
     missing = [f for f in fields if f not in d]
     if missing:
         raise ConfigError(f"{path}.{missing[0]}", "missing required field")
-    cls = {"uniform01": stochastic.Uniform01, "normal": Normal,
-           "poisson": Poisson, "bernoulli": Bernoulli,
-           "exponential": stochastic.Exponential}[kind]
     try:
         return cls(**{f: float(d[f]) for f in fields})
     except ValueError as exc:
@@ -134,11 +132,9 @@ def _parse_dist(d: dict, path: str) -> DistributionSpec:
 
 
 def _dist_to_dict(dist: DistributionSpec) -> dict:
-    for kind, cls in (("uniform01", stochastic.Uniform01), ("normal", Normal),
-                      ("poisson", Poisson), ("bernoulli", Bernoulli),
-                      ("exponential", stochastic.Exponential)):
+    for kind, (cls, fields) in _DISTS.items():
         if isinstance(dist, cls):
-            return {"kind": kind, **{f: getattr(dist, f) for f in _DIST_FIELDS[kind]}}
+            return {"kind": kind, **{f: getattr(dist, f) for f in fields}}
     raise TypeError(f"unknown distribution spec {dist!r}")
 
 
@@ -173,6 +169,15 @@ def _parse_study(d: dict, default: OutcomeModelSpec, path: str) -> OutcomeModelS
         raise ConfigError(path, str(exc)) from exc
 
 
+def _integer(d: dict, key: str, default: int) -> int:
+    value = d.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(key, f"must be an integer, got {value!r}")
+    return value
+
+
 def parse_config(document: str | dict) -> ScenarioConfig:
     """Parse and validate a JSON scenario configuration, applying the
     canonical defaults for anything omitted. An empty document yields the
@@ -191,10 +196,10 @@ def parse_config(document: str | dict) -> ScenarioConfig:
             if f not in idict:
                 raise ConfigError(f"interaction.{f}", "missing required field")
         interaction = (str(idict["covariate"]), float(idict["coefficient"]))
-    n = int(d.get("n", DEFAULT_N))
+    n = _integer(d, "n", DEFAULT_N)
     if n < 2 or n % 2 != 0:
         raise ConfigError("n", f"must be a positive even integer, got {n}")
-    seed = int(d.get("seed", DEFAULT_SEED))
+    seed = _integer(d, "seed", DEFAULT_SEED)
     if not 0 <= seed < 2**64:
         raise ConfigError("seed", f"must lie in [0, 2**64), got {seed}")
     return ScenarioConfig(

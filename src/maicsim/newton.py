@@ -1,0 +1,50 @@
+"""Damped Newton minimization, shared by the Cox fit and the MAIC weights.
+
+It stops once a step changes the objective by at most ``REL_TOL`` relative to
+its size, as R's ``survival::coxph.control(eps = 1e-9)`` does (Therneau &
+Grambsch 2000). Unlike an absolute gradient tolerance, this is reachable at
+any n, although rounding in an objective summed over n terms grows with n.
+"""
+
+import numpy as np
+
+REL_TOL = 1e-9
+MAX_ITERS = 50
+MAX_HALVINGS = 10
+
+
+def minimize(evaluate, k: int, check):
+    """Minimize a convex objective over R^k from x = 0.
+
+    ``evaluate(x)`` returns (value, gradient, Hessian), the value infinite or
+    NaN where x is infeasible. A step that raises the value by more than the
+    tolerance is halved up to ``MAX_HALVINGS`` times; if none is acceptable,
+    or after ``MAX_ITERS`` steps, the search stops unconverged. ``check(x)``
+    sees each accepted iterate and raises to abandon a diverging search.
+    Returns (x, value, gradient, Hessian, converged, iterations) at the last
+    accepted iterate; a singular Hessian raises ``np.linalg.LinAlgError``.
+    """
+    x = np.zeros(k)
+    f, g, h = evaluate(x)
+    if np.linalg.matrix_rank(h) < k:
+        raise np.linalg.LinAlgError("singular Hessian at the start: a constant "
+                                    "or collinear column")
+    for iterations in range(MAX_ITERS):
+        if not np.any(g):
+            return x, f, g, h, True, iterations
+        step = np.linalg.solve(h, g)
+        tol = REL_TOL * abs(f)
+        for _ in range(MAX_HALVINGS + 1):
+            cand = x - step
+            fc, gc, hc = evaluate(cand)
+            if fc <= f + tol:  # false for NaN and inf
+                break
+            step = step / 2
+        else:
+            return x, f, g, h, False, iterations
+        converged = f - fc <= tol
+        x, f, g, h = cand, fc, gc, hc
+        check(x)
+        if converged:
+            return x, f, g, h, True, iterations + 1
+    return x, f, g, h, False, MAX_ITERS

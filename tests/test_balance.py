@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maicsim import newton
 from maicsim.balance import (
     TargetOutsideSupport,
     balance_report,
-    bfgs_minimize,
     center_covariates,
     effective_sample_size,
     estimate_weights,
@@ -78,28 +78,27 @@ def test_closed_form_two_point_instance():
     expected = -math.log(2) / 3
     _, g = objective_and_gradient(np.array([expected]), prob)
     assert abs(g[0]) < 1e-12
-    alpha, converged, _, _ = bfgs_minimize(
-        lambda a: objective_and_gradient(a, prob), 1)
-    assert converged
-    assert alpha[0] == pytest.approx(expected, abs=1e-6)
+    weights = estimate_weights(prob)
+    assert weights.converged
+    assert weights.alpha[0] == pytest.approx(expected, abs=1e-6)
 
 
 def test_bfgs_quadratic_bowl():
     c = np.array([1.5, -2.0, 0.25])
 
     def bowl(a):
-        return float(np.sum((a - c) ** 2)), 2 * (a - c)
+        return float(np.sum((a - c) ** 2)), 2 * (a - c), 2 * np.eye(3)
 
-    alpha, converged, iterations, _ = bfgs_minimize(bowl, 3)
+    alpha, _, _, _, converged, iterations = newton.minimize(bowl, 3, lambda a: None)
     assert converged and iterations <= 25
     np.testing.assert_allclose(alpha, c, atol=1e-8)
 
 
 def test_bfgs_stationary_start():
     def bowl(a):
-        return float(np.sum(a**2)), 2 * a
+        return float(np.sum(a**2)), 2 * a, 2 * np.eye(2)
 
-    alpha, _, iterations, _ = bfgs_minimize(bowl, 2)
+    alpha, _, _, _, _, iterations = newton.minimize(bowl, 2, lambda a: None)
     assert iterations == 0
     assert np.all(alpha == 0.0)
 
@@ -107,13 +106,7 @@ def test_bfgs_stationary_start():
 def test_bfgs_objective_non_increasing():
     rng = np.random.default_rng(3)
     prob = random_problem(rng)
-    values = []
-
-    def recorder(a):
-        q, g = objective_and_gradient(a, prob)
-        return q, g
-
-    alpha, _, _, _ = bfgs_minimize(recorder, prob.K)
+    alpha = estimate_weights(prob).alpha
     # accepted iterates never increase Q, so the end is no worse than the start
     q_final, _ = objective_and_gradient(alpha, prob)
     q_start, _ = objective_and_gradient(np.zeros(prob.K), prob)
@@ -158,6 +151,14 @@ def test_target_outside_support():
 def test_no_covariates_rejected():
     prob = center_covariates(np.empty((10, 0)), [])
     with pytest.raises(ValueError):
+        estimate_weights(prob)
+
+
+def test_collinear_covariates_rejected():
+    # a duplicated column leaves the Hessian singular: no unique tilt exists
+    X = np.random.default_rng(10).normal(size=(50, 1))
+    prob = center_covariates(np.column_stack([X, X]), [0.1, 0.1])
+    with pytest.raises(ValueError, match="collinear"):
         estimate_weights(prob)
 
 

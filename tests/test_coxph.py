@@ -9,7 +9,6 @@ from maicsim.coxph import (
     MonotoneLikelihood,
     NoEvents,
     SingularInformation,
-    SolverSettings,
     SurvivalSample,
     fit_cox,
     partial_loglik,
@@ -233,13 +232,6 @@ def test_ties_warn_and_match_oracle():
         value = partial_loglik(np.array([0.3]), data)
     expected = brute_force_loglik(np.array([0.3]), time, status, Z, np.ones(4))
     assert value == pytest.approx(expected, rel=1e-12)
-
-
-def test_solver_settings_respected():
-    data = three_subject_sample()
-    fit = fit_cox(data, SolverSettings(score_tol=1e-12, max_iters=50))
-    assert fit.score_norm <= 1e-12
-    assert fit.iterations <= 50
 
 
 def test_robust_variance_requires_fit():

@@ -7,6 +7,7 @@ import pytest
 
 from maicsim import cli
 from maicsim.balance import TargetOutsideSupport
+from maicsim.cohortsim import summarize_aggregate
 from maicsim.harness import (
     ConfigError,
     ScenarioConfig,
@@ -16,6 +17,7 @@ from maicsim.harness import (
     replicate_appendix,
     run_scenario,
     serialize_config,
+    simulate_studies,
 )
 from maicsim.stochastic import Normal, Poisson
 
@@ -79,14 +81,20 @@ def test_invalid_parameter_reported_with_path():
                 '"dist": {"kind": "poisson", "lam": %s}}]}}' % lam)
         with pytest.raises(ConfigError, match=r"study_B\.covariates\[0\]\.dist"):
             parse_config(text)
-    for seed in (-1, 2**64):
-        with pytest.raises(ConfigError, match="seed"):
+    for seed in (-1, 2**64, 5.9, "abc", "5", None, True):
+        with pytest.raises(ConfigError, match="seed") as info:
             parse_config({"seed": seed})
+        assert info.value.path == "seed"
+    assert parse_config({"seed": 5.0}).seed == 5
 
 
 def test_odd_n_rejected():
-    with pytest.raises(ConfigError, match="n"):
-        parse_config('{"n": 1001}')
+    for text in ('{"n": 1001}', '{"n": 2000.5}', '{"n": "abc"}', '{"n": "2000"}',
+                 '{"n": NaN}', '{"n": Infinity}'):
+        with pytest.raises(ConfigError, match="n") as info:
+            parse_config(text)
+        assert info.value.path == "n"
+    assert parse_config('{"n": 2000.0}').n == 2000
 
 
 def test_round_trip_is_idempotent():
@@ -164,6 +172,11 @@ def test_cli_simulate_weights_fit(tmp_path: Path):
     assert (out / "study_B.csv").exists()
     targets = json.loads((out / "targets.json").read_text())
     assert set(targets) == {"Age", "PLNEN", "ISS", "Refr"}
+    # the CLI's targets are study B's published means, bit for bit
+    _, trial_B = simulate_studies(parse_config(SMALL))
+    summary_B = summarize_aggregate(trial_B)
+    assert [targets[name] for name in summary_B.covariate_names] == \
+        summary_B.means.tolist()
 
     wfile = tmp_path / "weights.csv"
     assert cli.main(["weights", "--ipd", str(out / "study_A.csv"),
