@@ -24,6 +24,10 @@ class TargetOutsideSupport(Exception):
     IPD covariates, so the tilting coefficients diverge."""
 
 
+class WeightsNotConverged(Exception):
+    """Newton stopped before the weight objective converged."""
+
+
 @dataclass(frozen=True)
 class BalanceProblem:
     Xc: np.ndarray                      # n x K, centered on target means
@@ -111,6 +115,15 @@ def estimate_weights(prob: BalanceProblem) -> MaicWeights:
         grad_norm=float(np.max(np.abs(grad))),
         iterations=iterations,
     )
+
+
+def require_converged(weights: MaicWeights) -> MaicWeights:
+    """``weights`` itself, or ``WeightsNotConverged`` if Newton stopped early."""
+    if not weights.converged:
+        raise WeightsNotConverged(
+            f"weight estimate stopped unconverged after {weights.iterations} "
+            f"Newton steps (max |gradient| {weights.grad_norm:.3g})")
+    return weights
 
 
 def effective_sample_size(w: np.ndarray) -> float:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import balance, cohortsim, estimands, harness
+from . import balance, cohortsim, coxph, estimands, harness
 
 
 def _read_config(path: str | None) -> harness.ScenarioConfig:
@@ -40,13 +41,13 @@ def _cmd_weights(args) -> int:
         raise SystemExit(f"no target mean for covariate(s): {missing}")
     target_means = [float(targets[nm]) for nm in names]
     prob = balance.center_covariates(trial.columns(names), target_means, names)
-    weights = balance.estimate_weights(prob)
+    weights = balance.require_converged(balance.estimate_weights(prob))
     report = balance.balance_report(trial.columns(names), weights.w,
                                     target_means, names)
     sys.stdout.write(report.to_tsv())
     if args.out:
-        lines = ["weight"] + [f"{w:.10g}" for w in weights.w]
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        Path(args.out).write_text(
+            "weight\n" + "".join("%.10g\n" % w for w in weights.w.tolist()))
     return 0
 
 
@@ -54,10 +55,11 @@ def _cmd_fit(args) -> int:
     trial = cohortsim.trial_from_csv(Path(args.data).read_text())
     weights = None
     if args.weights:
-        lines = Path(args.weights).read_text().strip().splitlines()
-        if lines and lines[0] == "weight":
-            lines = lines[1:]
-        weights = np.array([float(v) for v in lines])
+        text = Path(args.weights).read_text()
+        head, _, body = text.partition("\n")
+        # the "weight" header line is optional
+        weights = np.loadtxt(io.StringIO(body if head.strip() == "weight" else text),
+                             comments=None, ndmin=1)
     if args.adjust:
         names = [s for s in args.adjust.split(",") if s]
         if weights is not None:
@@ -125,7 +127,10 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_replicate)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (coxph.NotConverged, balance.WeightsNotConverged) as exc:
+        parser.exit(1, f"maicsim {args.command}: {exc}\n")
 
 
 if __name__ == "__main__":

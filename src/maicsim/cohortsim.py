@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coxph import SurvivalSample, fit_cox
+from .coxph import SurvivalSample, fit_cox, require_converged
 from .stochastic import DistributionSpec, Exponential, RandomStream, draw_variates
 
 
@@ -160,7 +160,8 @@ def summarize_aggregate(trial: TrialData) -> AggregateSummary:
     hazard ratio of the unweighted univariable Cox fit with its model SE."""
     if trial.n == 0:
         raise ValueError("trial is empty")
-    fit = fit_cox(SurvivalSample(trial.time, trial.status, trial.trt[:, None]))
+    fit = require_converged(
+        fit_cox(SurvivalSample(trial.time, trial.status, trial.trt[:, None])))
     return AggregateSummary(
         covariate_names=trial.covariate_names,
         means=covariate_means(trial),
@@ -171,28 +172,29 @@ def summarize_aggregate(trial: TrialData) -> AggregateSummary:
 
 def trial_to_csv(trial: TrialData) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["subject_id", *trial.covariate_names, "trt", "time", "status"])
-    for i in range(trial.n):
-        writer.writerow([
-            i,
-            *(f"{v:.10g}" for v in trial.X[i]),
-            int(trial.trt[i]),
-            f"{trial.time[i]:.10g}",
-            int(trial.status[i]),
-        ])
+    csv.writer(buf, lineterminator="\n").writerow(
+        ["subject_id", *trial.covariate_names, "trt", "time", "status"])
+    # "%.10g" % v is the text of f"{v:.10g}"; "%d" truncates as int() does
+    fmt = "%d," + "%.10g," * trial.X.shape[1] + "%d,%.10g,%d\n"
+    rows = zip(range(trial.n), *trial.X.T.tolist(), trial.trt.tolist(),
+               trial.time.tolist(), trial.status.tolist())
+    buf.write("".join(fmt % row for row in rows))
     return buf.getvalue()
 
 
 def trial_from_csv(text: str) -> TrialData:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
+    if not text:
         raise ValueError("trial CSV is empty")
-    if len(rows) == 1:
+    head, _, body = text.partition("\n")
+    header = next(csv.reader([head]), [])
+    if not body.strip():
         raise ValueError("trial CSV has a header but no subject rows")
-    header = rows[0]
-    if header[0] != "subject_id" or header[-3:] != ["trt", "time", "status"]:
+    if header[:1] != ["subject_id"] or header[-3:] != ["trt", "time", "status"]:
         raise ValueError("unrecognized trial CSV header")
     names = tuple(header[1:-3])
-    body = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-    return TrialData(names, body[:, : len(names)], body[:, -3], body[:, -2], body[:, -1])
+    # numpy's C parser raises ValueError on a ragged row or a non-number
+    table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    if table.shape[1] != len(header):
+        raise ValueError(f"trial CSV rows have {table.shape[1]} fields but the "
+                         f"header names {len(header)}")
+    return TrialData(names, table[:, 1:-3], table[:, -3], table[:, -2], table[:, -1])

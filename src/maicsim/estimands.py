@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohortsim import OutcomeModelSpec, TrialData, simulate_trial
-from .coxph import SurvivalSample, fit_cox
+from .coxph import SurvivalSample, fit_cox, require_converged
 from .stochastic import RandomStream
 
 MARGINAL = "marginal"
@@ -86,7 +86,7 @@ def marginal_effect(trial: TrialData, weights: np.ndarray | None = None,
     weighted score contributions are no longer independent unit terms.
     """
     sample = SurvivalSample(trial.time, trial.status, trial.trt[:, None], weights)
-    fit = fit_cox(sample)
+    fit = require_converged(fit_cox(sample))
     se = fit.se_robust[0] if weights is not None else fit.se_model[0]
     return EffectEstimate(float(fit.beta[0]), float(se), MARGINAL, population)
 
@@ -99,7 +99,7 @@ def conditional_effect(trial: TrialData, adjustment_set,
         est = marginal_effect(trial, population=population)
         return EffectEstimate(est.log_hr, est.se, CONDITIONAL, population)
     Z = np.column_stack([trial.trt, trial.columns(adjustment_set)])
-    fit = fit_cox(SurvivalSample(trial.time, trial.status, Z))
+    fit = require_converged(fit_cox(SurvivalSample(trial.time, trial.status, Z)))
     return EffectEstimate(float(fit.beta[0]), float(fit.se_model[0]),
                           CONDITIONAL, population)
 
@@ -110,7 +110,7 @@ def simulated_marginal_loghr(model: OutcomeModelSpec, n: int,
     univariable Cox treatment coefficient on one large simulated cohort."""
     trial = simulate_trial(model, n, stream)
     sample = SurvivalSample(trial.time, trial.status, trial.trt[:, None])
-    return float(fit_cox(sample).beta[0])
+    return float(require_converged(fit_cox(sample)).beta[0])
 
 
 def bucher_compare(d_AC: EffectEstimate, d_BC: EffectEstimate) -> IndirectComparison:

@@ -152,8 +152,13 @@ def _parse_study(d: dict, default: OutcomeModelSpec, path: str) -> OutcomeModelS
                 raise ConfigError(f"{cpath}.name", "missing required field")
             if "dist" not in cd:
                 raise ConfigError(f"{cpath}.dist", "missing required field")
+            name = str(cd["name"])
+            # names become CSV header fields and --balance-set entries
+            if not name or any(c in name for c in ',"\n\r'):
+                raise ConfigError(f"{cpath}.name", "must be non-empty, without "
+                                  f"commas, quotes or line breaks; got {name!r}")
             covariates.append(CovariateSpec(
-                name=str(cd["name"]),
+                name=name,
                 marginal=_parse_dist(cd["dist"], f"{cpath}.dist"),
                 prognostic_coef=float(cd.get("prognostic_coef", 0.0)),
                 interaction_coef=float(cd.get("interaction_coef", 0.0)),
@@ -330,7 +335,7 @@ def _maic_estimate(trial_A: TrialData, summary_B: AggregateSummary, balance_set)
     names = list(balance_set)
     targets = [summary_B.mean(name) for name in names]
     prob = balance.center_covariates(trial_A.columns(names), targets, names)
-    weights = balance.estimate_weights(prob)
+    weights = balance.require_converged(balance.estimate_weights(prob))
     est = estimands.marginal_effect(trial_A, weights.w, population="S2")
     report = balance.balance_report(trial_A.columns(names), weights.w, targets, names)
     return est, weights, report

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtri
 
 _U53 = 1 << 53
 
@@ -117,6 +116,9 @@ def draw_variates(stream: RandomStream, dist: DistributionSpec, n: int) -> np.nd
     if isinstance(dist, Uniform01):
         return stream.uniforms(n)
     if isinstance(dist, Normal):
+        # imported here: scipy takes about 0.3 s to load, and only Normal
+        # draws need it
+        from scipy.special import ndtri
         return dist.mean + dist.sd * ndtri(stream.uniforms(n))
     if isinstance(dist, Poisson):
         return _draw_poisson(stream, dist.lam, n)

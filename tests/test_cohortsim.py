@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -194,6 +196,54 @@ def test_csv_round_trip():
     np.testing.assert_allclose(back.time, trial.time, rtol=1e-9)
     assert np.array_equal(back.trt, trial.trt)
     assert np.array_equal(back.status, trial.status)
+
+
+def loop_to_csv(trial):
+    """Reference writer: one csv.writer row per subject."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["subject_id", *trial.covariate_names, "trt", "time", "status"])
+    for i in range(trial.n):
+        writer.writerow([i, *(f"{v:.10g}" for v in trial.X[i]), int(trial.trt[i]),
+                         f"{trial.time[i]:.10g}", int(trial.status[i])])
+    return buf.getvalue()
+
+
+def loop_from_csv(text):
+    """Reference reader: float() on every field after the subject id."""
+    rows = list(csv.reader(io.StringIO(text)))
+    return np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+
+
+def test_csv_round_trip_extreme_values():
+    extremes = [1e-300, 5e-324, 1e21, -0.0, 0.1 + 0.2, 123456789012.0]
+    X = np.array([extremes, extremes[::-1]]).T
+    time = np.array([1e-300, 5e-324, 1e21, 7.0, 0.1 + 0.2, 123456789012.0])
+    trial = TrialData(("a", "b"), X, np.array([1.0, 0, 1, 0, 1, 0]), time,
+                      np.array([1.0, 1, 0, 1, 0, 1]))
+    for t in (trial, small_trial(n=50)):
+        text = trial_to_csv(t)
+        assert text == loop_to_csv(t)
+        back = trial_from_csv(text)
+        want = loop_from_csv(text)
+        assert want.tobytes() == np.array(
+            [[float(f"{v:.10g}") for v in row]
+             for row in np.column_stack([t.X, t.trt, t.time, t.status])]).tobytes()
+        got = np.column_stack([back.X, back.trt, back.time, back.status])
+        assert got.tobytes() == want.tobytes()  # bit for bit, -0.0 included
+
+
+def test_csv_malformed_rows_rejected():
+    text = trial_to_csv(small_trial(n=50))
+    header, first, rest = text.split("\n", 2)
+    short = first.rsplit(",", 1)[0]
+    for bad in (short, first + ",1", first.replace(",", ",abc,", 1)):
+        with pytest.raises(ValueError):
+            trial_from_csv("\n".join([header, bad, rest]))
+    # every row one field short of the header
+    rows = [line.rsplit(",", 1)[0] for line in text.splitlines()[1:]]
+    with pytest.raises(ValueError, match="fields"):
+        trial_from_csv("\n".join([header, *rows]) + "\n")
 
 
 def test_csv_empty_text_rejected():

@@ -223,6 +223,16 @@ def test_separation_detected():
         fit_cox(SurvivalSample(time, status, trt[:, None]))
 
 
+def test_separation_detected_whatever_the_scale():
+    # events only at z = 0, every censored subject at z = 70: the likelihood
+    # levels off at beta near -0.33, far inside any bound on |beta| itself
+    time = np.arange(1.0, 9.0)
+    status = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    z = np.array([0.0, 0.0, 0.0, 0.0, 70.0, 70.0, 70.0, 70.0])
+    with pytest.raises(MonotoneLikelihood):
+        fit_cox(SurvivalSample(time, status, z[:, None]))
+
+
 def test_ties_warn_and_match_oracle():
     time = np.array([1.0, 1.0, 2.0, 3.0])
     status = np.array([1.0, 1.0, 1.0, 0.0])

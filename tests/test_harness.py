@@ -1,13 +1,23 @@
+import dataclasses
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from maicsim import cli
-from maicsim.balance import TargetOutsideSupport
-from maicsim.cohortsim import summarize_aggregate
+import maicsim
+from maicsim import balance, cli, coxph, newton
+from maicsim.balance import (
+    TargetOutsideSupport,
+    WeightsNotConverged,
+    center_covariates,
+    estimate_weights,
+)
+from maicsim.cohortsim import summarize_aggregate, trial_from_csv
+from maicsim.estimands import marginal_effect
 from maicsim.harness import (
     ConfigError,
     ScenarioConfig,
@@ -86,6 +96,14 @@ def test_invalid_parameter_reported_with_path():
             parse_config({"seed": seed})
         assert info.value.path == "seed"
     assert parse_config({"seed": 5.0}).seed == 5
+    # names become CSV header fields and --balance-set entries
+    for name in ("", "a,b", 'a"b', "a\nb", "a\rb"):
+        doc = {"study_A": {"covariates": [
+            {"name": "Age", "dist": {"kind": "uniform01"}},
+            {"name": name, "dist": {"kind": "uniform01"}}]}}
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.path == "study_A.covariates[1].name"
 
 
 def test_odd_n_rejected():
@@ -163,7 +181,61 @@ def test_stage_annotation_on_failure():
     assert isinstance(info.value.__cause__, TargetOutsideSupport)
 
 
-def test_cli_simulate_weights_fit(tmp_path: Path):
+def test_unconverged_solvers_fail_loudly(monkeypatch, tmp_path: Path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL))
+    out = tmp_path / "data"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(balance, "estimate_weights", lambda prob: dataclasses.replace(
+            estimate_weights(prob), converged=False))
+        with pytest.raises(StageError) as info:
+            run_scenario(parse_config(SMALL))
+        assert info.value.stage == "weights"
+        assert isinstance(info.value.__cause__, WeightsNotConverged)
+    monkeypatch.setattr(newton, "MAX_ITERS", 1)
+    _, trial_B = simulate_studies(parse_config(SMALL))
+    # the fit still reports its flag; the pipeline refuses the result
+    sample = coxph.SurvivalSample(trial_B.time, trial_B.status, trial_B.trt[:, None])
+    assert not coxph.fit_cox(sample).converged
+    with pytest.raises(StageError) as info:
+        run_scenario(parse_config(SMALL))
+    assert info.value.stage == "summarize_B"
+    assert isinstance(info.value.__cause__, coxph.NotConverged)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["weights", "--ipd", str(out / "study_A.csv"),
+                  "--targets", str(out / "targets.json"),
+                  "--balance-set", "PLNEN,ISS,Refr"])
+    assert info.value.code == 1
+    with pytest.raises(SystemExit) as info:
+        cli.main(["fit", "--data", str(out / "study_A.csv")])
+    assert info.value.code == 1
+
+
+def test_commands_that_draw_nothing_do_not_load_scipy(tmp_path: Path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL))
+    out = tmp_path / "data"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    weights = str(tmp_path / "w.csv")
+    commands = [
+        [],
+        ["weights", "--ipd", str(out / "study_A.csv"), "--targets",
+         str(out / "targets.json"), "--balance-set", "PLNEN,ISS,Refr", "--out", weights],
+        ["fit", "--data", str(out / "study_A.csv"), "--weights", weights],
+    ]
+    src = str(Path(maicsim.__file__).parent.parent)
+    for argv in commands:
+        code = ("import sys, maicsim.cli\n"
+                f"argv = {argv!r}\n"
+                "if argv: maicsim.cli.main(argv)\n"
+                "assert 'scipy' not in sys.modules, sorted(sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={"PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, (argv, proc.stderr)
+
+
+def test_cli_simulate_weights_fit(tmp_path: Path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(SMALL))
     out = tmp_path / "data"
@@ -183,12 +255,19 @@ def test_cli_simulate_weights_fit(tmp_path: Path):
                      "--targets", str(out / "targets.json"),
                      "--balance-set", "PLNEN,ISS,Refr",
                      "--out", str(wfile)]) == 0
-    lines = wfile.read_text().splitlines()
-    assert lines[0] == "weight"
-    assert len(lines) == SMALL["n"] + 1
+    # the weights file: a "weight" header, then one %.10g value per line
+    names = ["PLNEN", "ISS", "Refr"]
+    trial_A = trial_from_csv((out / "study_A.csv").read_text())
+    w = estimate_weights(center_covariates(
+        trial_A.columns(names), [targets[nm] for nm in names], names)).w
+    lines = ["weight"] + [f"{v:.10g}" for v in w]
+    assert wfile.read_text() == "\n".join(lines) + "\n"
 
+    capsys.readouterr()
     assert cli.main(["fit", "--data", str(out / "study_A.csv"),
                      "--weights", str(wfile)]) == 0
+    read_back = np.array([float(v) for v in lines[1:]])
+    assert capsys.readouterr().out == marginal_effect(trial_A, read_back).to_json() + "\n"
     assert cli.main(["fit", "--data", str(out / "study_A.csv"),
                      "--adjust", "PLNEN,ISS,Refr"]) == 0
 
