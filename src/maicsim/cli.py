@@ -129,7 +129,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (coxph.NotConverged, balance.WeightsNotConverged) as exc:
+    # failures of the input or of the model, not of the program; ValueError
+    # covers harness.ConfigError and a malformed CSV
+    except (ValueError, harness.StageError, coxph.CoxError,
+            balance.TargetOutsideSupport, balance.WeightsNotConverged) as exc:
         parser.exit(1, f"maicsim {args.command}: {exc}\n")
 
 

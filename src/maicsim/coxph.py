@@ -117,6 +117,10 @@ class _SortedSample:
         """Sums of ``x`` (along axis 0) over the risk set of each subject's time."""
         return np.cumsum(x[::-1], axis=0)[::-1][self.first]
 
+    def events_through(self, x: np.ndarray) -> np.ndarray:
+        """Sums of ``x`` (along axis 0) over the events at or before each subject's time."""
+        return np.cumsum(np.where(self.events, x.T, 0.0).T, axis=0)[self.last]
+
     def risk_sums(self, beta: np.ndarray):
         """eta, the risk scores w exp(eta), and S0, S1 over each risk set."""
         eta = self.z @ beta
@@ -136,14 +140,14 @@ def score_and_information(beta: np.ndarray, data: SurvivalSample):
 
 def _score_info(s: _SortedSample, beta: np.ndarray):
     eta, r, s0, s1 = s.risk_sums(beta)
-    s2 = s.at_risk(r[:, None, None] * (s.z[:, :, None] * s.z[:, None, :]))
     e = s.events
     we = s.w[e]
     zbar = s1[e] / s0[e][:, None]
     loglik = float(np.sum(we * (eta[e] - np.log(s0[e]))))
     grad = (we[:, None] * (s.z[e] - zbar)).sum(axis=0)
-    v = s2[e] / s0[e][:, None, None] - zbar[:, :, None] * zbar[:, None, :]
-    info = (we[:, None, None] * v).sum(axis=0)
+    # sum_e w_e / S0(t_e) sum_{t_i >= t_e} r_i z_i z_i', summed by subject i instead
+    g0 = s.events_through(s.w / s0)
+    info = (s.z.T * (r * g0)) @ s.z - (we[:, None] * zbar).T @ zbar
     return loglik, grad, info
 
 
@@ -201,12 +205,8 @@ def _residuals(s: _SortedSample, beta: np.ndarray) -> np.ndarray:
     """Score residuals in the time order of ``s``."""
     eta, _, s0, s1 = s.risk_sums(beta)
     zbar = s1 / s0[:, None]
-    # cumulative event-time sums d(t)/S0(t) and d(t)*zbar(t)/S0(t) up to each
-    # subject's follow-up time (ties included via the tie-group last index)
-    inc0 = np.where(s.events, s.w / s0, 0.0)
-    inc1 = np.where(s.events[:, None], (s.w / s0)[:, None] * zbar, 0.0)
-    g0 = np.cumsum(inc0)[s.last]
-    g1 = np.cumsum(inc1, axis=0)[s.last]
+    g0 = s.events_through(s.w / s0)
+    g1 = s.events_through((s.w / s0)[:, None] * zbar)
     expeta = np.exp(eta)
     return (s.d[:, None] * (s.z - zbar)
             - expeta[:, None] * (g0[:, None] * s.z - g1))

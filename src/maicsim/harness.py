@@ -74,7 +74,7 @@ def default_study_B() -> OutcomeModelSpec:
 
 class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
         self.path = path
 
 
@@ -88,20 +88,49 @@ class ScenarioConfig:
     interaction: tuple[str, float] | None = None
 
     def __post_init__(self):
-        for name in self.balance_set:
-            if name not in self.study_A.covariate_names:
-                raise ConfigError("balance_set",
-                                  f"{name!r} is not a declared covariate")
+        # MAIC needs each balance covariate in study A's IPD and in study B's
+        # published means; the interaction modifies both studies' outcomes
+        if not self.balance_set:
+            raise ConfigError("balance_set", "must name at least one covariate")
+        if len(set(self.balance_set)) != len(self.balance_set):
+            raise ConfigError("balance_set", f"repeats a covariate: {self.balance_set}")
+        checks = [("balance_set", name) for name in self.balance_set]
         if self.interaction is not None:
-            if self.interaction[0] not in self.study_A.covariate_names:
-                raise ConfigError("interaction.covariate",
-                                  f"{self.interaction[0]!r} is not a declared covariate")
+            checks.append(("interaction.covariate", self.interaction[0]))
+        for path, name in checks:
+            for study, model in (("study_A", self.study_A), ("study_B", self.study_B)):
+                if name not in model.covariate_names:
+                    raise ConfigError(path, f"{name!r} is not a declared covariate "
+                                      f"of {study}")
 
 
-def _reject_unknown(d: dict, allowed, path: str):
+def _object(d, allowed, path: str) -> dict:
+    """``d`` itself, if it is a JSON object with no field outside ``allowed``."""
+    if not isinstance(d, dict):
+        raise ConfigError(path, f"must be a JSON object, got {d!r}")
     for key in d:
         if key not in allowed:
             raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
+    return d
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(path, f"must be a JSON list, got {value!r}")
+    return value
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(path, f"must be a string, got {value!r}")
+    return value
+
+
+def _number(d: dict, key: str, default: float | None, path: str) -> float:
+    value = d.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}.{key}", f"must be a number, got {value!r}")
+    return float(value)
 
 
 # kind -> (spec class, its parameters in config order)
@@ -114,45 +143,40 @@ _DISTS = {
 }
 
 
-def _parse_dist(d: dict, path: str) -> DistributionSpec:
+def _parse_dist(d, path: str) -> DistributionSpec:
+    if not isinstance(d, dict):
+        raise ConfigError(path, f"must be a JSON object, got {d!r}")
     if "kind" not in d:
         raise ConfigError(f"{path}.kind", "missing required field")
     kind = d["kind"]
-    if kind not in _DISTS:
+    if not isinstance(kind, str) or kind not in _DISTS:
         raise ConfigError(f"{path}.kind", f"unknown distribution kind {kind!r}")
     cls, fields = _DISTS[kind]
-    _reject_unknown(d, ("kind", *fields), path)
+    _object(d, ("kind", *fields), path)
     missing = [f for f in fields if f not in d]
     if missing:
         raise ConfigError(f"{path}.{missing[0]}", "missing required field")
+    params = {f: _number(d, f, None, path) for f in fields}
     try:
-        return cls(**{f: float(d[f]) for f in fields})
+        return cls(**params)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
-def _dist_to_dict(dist: DistributionSpec) -> dict:
-    for kind, (cls, fields) in _DISTS.items():
-        if isinstance(dist, cls):
-            return {"kind": kind, **{f: getattr(dist, f) for f in fields}}
-    raise TypeError(f"unknown distribution spec {dist!r}")
-
-
-def _parse_study(d: dict, default: OutcomeModelSpec, path: str) -> OutcomeModelSpec:
-    _reject_unknown(d, ("treatment_log_hr", "baseline_rate", "censoring_rate",
-                        "covariates"), path)
+def _parse_study(d, default: OutcomeModelSpec, path: str) -> OutcomeModelSpec:
+    _object(d, ("treatment_log_hr", "baseline_rate", "censoring_rate",
+                "covariates"), path)
     covariates = default.covariates
     if "covariates" in d:
         covariates = []
-        for i, cd in enumerate(d["covariates"]):
+        for i, cd in enumerate(_list(d["covariates"], f"{path}.covariates")):
             cpath = f"{path}.covariates[{i}]"
-            _reject_unknown(cd, ("name", "dist", "prognostic_coef",
-                                 "interaction_coef"), cpath)
+            _object(cd, ("name", "dist", "prognostic_coef", "interaction_coef"), cpath)
             if "name" not in cd:
                 raise ConfigError(f"{cpath}.name", "missing required field")
             if "dist" not in cd:
                 raise ConfigError(f"{cpath}.dist", "missing required field")
-            name = str(cd["name"])
+            name = _string(cd["name"], f"{cpath}.name")
             # names become CSV header fields and --balance-set entries
             if not name or any(c in name for c in ',"\n\r'):
                 raise ConfigError(f"{cpath}.name", "must be non-empty, without "
@@ -160,16 +184,13 @@ def _parse_study(d: dict, default: OutcomeModelSpec, path: str) -> OutcomeModelS
             covariates.append(CovariateSpec(
                 name=name,
                 marginal=_parse_dist(cd["dist"], f"{cpath}.dist"),
-                prognostic_coef=float(cd.get("prognostic_coef", 0.0)),
-                interaction_coef=float(cd.get("interaction_coef", 0.0)),
+                prognostic_coef=_number(cd, "prognostic_coef", 0.0, cpath),
+                interaction_coef=_number(cd, "interaction_coef", 0.0, cpath),
             ))
+    rates = {key: _number(d, key, getattr(default, key), path)
+             for key in ("treatment_log_hr", "baseline_rate", "censoring_rate")}
     try:
-        return OutcomeModelSpec(
-            treatment_log_hr=float(d.get("treatment_log_hr", default.treatment_log_hr)),
-            baseline_rate=float(d.get("baseline_rate", default.baseline_rate)),
-            censoring_rate=float(d.get("censoring_rate", default.censoring_rate)),
-            covariates=tuple(covariates),
-        )
+        return OutcomeModelSpec(covariates=tuple(covariates), **rates)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -188,19 +209,17 @@ def parse_config(document: str | dict) -> ScenarioConfig:
     canonical defaults for anything omitted. An empty document yields the
     full default parameterization."""
     if isinstance(document, str):
-        d = json.loads(document) if document.strip() else {}
-    else:
-        d = dict(document)
-    _reject_unknown(d, ("seed", "n", "study_A", "study_B", "balance_set",
-                        "interaction"), "")
+        document = json.loads(document) if document.strip() else {}
+    d = _object(document, ("seed", "n", "study_A", "study_B", "balance_set",
+                           "interaction"), "")
     interaction = None
     if d.get("interaction") is not None:
-        idict = d["interaction"]
-        _reject_unknown(idict, ("covariate", "coefficient"), "interaction")
+        idict = _object(d["interaction"], ("covariate", "coefficient"), "interaction")
         for f in ("covariate", "coefficient"):
             if f not in idict:
                 raise ConfigError(f"interaction.{f}", "missing required field")
-        interaction = (str(idict["covariate"]), float(idict["coefficient"]))
+        interaction = (_string(idict["covariate"], "interaction.covariate"),
+                       _number(idict, "coefficient", None, "interaction"))
     n = _integer(d, "n", DEFAULT_N)
     if n < 2 or n % 2 != 0:
         raise ConfigError("n", f"must be a positive even integer, got {n}")
@@ -212,41 +231,11 @@ def parse_config(document: str | dict) -> ScenarioConfig:
         n=n,
         study_A=_parse_study(d.get("study_A", {}), default_study_A(), "study_A"),
         study_B=_parse_study(d.get("study_B", {}), default_study_B(), "study_B"),
-        balance_set=tuple(d.get("balance_set", ("PLNEN", "ISS", "Refr"))),
+        balance_set=tuple(_string(name, "balance_set") for name in
+                          _list(d.get("balance_set", ["PLNEN", "ISS", "Refr"]),
+                                "balance_set")),
         interaction=interaction,
     )
-
-
-def config_to_dict(cfg: ScenarioConfig) -> dict:
-    def study(m: OutcomeModelSpec) -> dict:
-        return {
-            "treatment_log_hr": m.treatment_log_hr,
-            "baseline_rate": m.baseline_rate,
-            "censoring_rate": m.censoring_rate,
-            "covariates": [
-                {
-                    "name": c.name,
-                    "dist": _dist_to_dict(c.marginal),
-                    "prognostic_coef": c.prognostic_coef,
-                    "interaction_coef": c.interaction_coef,
-                }
-                for c in m.covariates
-            ],
-        }
-
-    return {
-        "seed": cfg.seed,
-        "n": cfg.n,
-        "study_A": study(cfg.study_A),
-        "study_B": study(cfg.study_B),
-        "balance_set": list(cfg.balance_set),
-        "interaction": None if cfg.interaction is None else
-            {"covariate": cfg.interaction[0], "coefficient": cfg.interaction[1]},
-    }
-
-
-def serialize_config(cfg: ScenarioConfig) -> str:
-    return json.dumps(config_to_dict(cfg), indent=2) + "\n"
 
 
 def _with_interaction(model: OutcomeModelSpec,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -38,6 +39,20 @@ def brute_force_loglik(beta, time, status, Z, w):
             denom = np.sum(w[risk] * np.exp(Z[risk] @ beta))
             total += w[i] * (Z[i] @ beta - math.log(denom))
     return total
+
+
+def brute_force_information(beta, time, status, Z, w):
+    """Independent oracle: the Breslow information sum_e w_e (S2/S0 - zbar
+    zbar') over events e, each risk set enumerated directly."""
+    info = np.zeros((Z.shape[1], Z.shape[1]))
+    for i in range(len(time)):
+        if status[i] == 1:
+            risk = time >= time[i]
+            r = w[risk] * np.exp(Z[risk] @ beta)
+            zbar = r @ Z[risk] / r.sum()
+            s2 = (r[:, None] * Z[risk]).T @ Z[risk]
+            info += w[i] * (s2 / r.sum() - np.outer(zbar, zbar))
+    return info
 
 
 def random_sample(rng, n=12, p=2, weighted=True):
@@ -111,6 +126,48 @@ def test_zero_column_gives_zero_score_and_information():
     grad, info = score_and_information(np.array([0.2, 1.0]), data0)
     assert grad[1] == 0.0
     assert np.all(info[1, :] == 0.0) and np.all(info[:, 1] == 0.0)
+
+
+def test_information_matches_brute_force_oracle():
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        data = random_sample(rng, n=12, p=3)
+        beta = rng.normal(size=3)
+        _, info = score_and_information(beta, data)
+        expected = brute_force_information(beta, data.time, data.status, data.Z, data.w)
+        np.testing.assert_allclose(info, expected, rtol=1e-10)
+    # tied times, events and censorings in one tie group (Breslow)
+    time = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 4.0, 4.0])
+    status = np.array([1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0])
+    data = SurvivalSample(time, status, rng.normal(size=(8, 3)), rng.uniform(0.5, 2.0, 8))
+    beta = rng.normal(size=3)
+    with pytest.warns(UserWarning, match="tied"):
+        _, info = score_and_information(beta, data)
+    expected = brute_force_information(beta, time, status, data.Z, data.w)
+    np.testing.assert_allclose(info, expected, rtol=1e-10)
+
+
+def _fit_peak_bytes(data):
+    tracemalloc.start()
+    try:
+        fit_cox(data)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_memory_grows_linearly_in_covariates():
+    # with every array of a fit at most n x p, going from 2 to 8 covariates
+    # multiplies the peak by less than 8 / 2; an n x p x p array would push
+    # the ratio towards (8 / 2)**2
+    rng = np.random.default_rng(19)
+    n = 20_000
+    time = rng.exponential(1.0, n) + 0.01
+    status = (rng.random(n) < 0.7).astype(float)
+    Z = rng.normal(size=(n, 8))
+    small, large = (_fit_peak_bytes(SurvivalSample(time, status, Z[:, :p]))
+                    for p in (2, 8))
+    assert large / small < 4
 
 
 def test_information_is_psd():

@@ -22,11 +22,9 @@ from maicsim.harness import (
     ConfigError,
     ScenarioConfig,
     StageError,
-    config_to_dict,
     parse_config,
     replicate_appendix,
     run_scenario,
-    serialize_config,
     simulate_studies,
 )
 from maicsim.stochastic import Normal, Poisson
@@ -64,14 +62,33 @@ def test_unknown_nested_field_names_path():
         parse_config('{"study_A": {"unknown_rate": 1.0}}')
 
 
+# study B with Age, ISS and Refr but no PLNEN
+STUDY_B_WITHOUT_PLNEN = {"covariates": [
+    {"name": "Age", "dist": {"kind": "normal", "mean": 62.1, "sd": 5.0}},
+    {"name": "ISS", "dist": {"kind": "bernoulli", "p": 0.77}},
+    {"name": "Refr", "dist": {"kind": "bernoulli", "p": 0.92}}]}
+
+
 def test_undeclared_balance_covariate():
-    with pytest.raises(ConfigError, match="balance_set"):
-        parse_config('{"balance_set": ["Nope"]}')
+    # each of these used to pass parsing and fail only at the weights stage
+    for doc in ({"balance_set": ["Nope"]},
+                {"study_B": STUDY_B_WITHOUT_PLNEN},
+                {"balance_set": ["PLNEN", "PLNEN"]},
+                {"balance_set": []}):
+        with pytest.raises(ConfigError, match="balance_set") as info:
+            parse_config(doc)
+        assert info.value.path == "balance_set"
+    assert parse_config({"study_B": STUDY_B_WITHOUT_PLNEN,
+                         "balance_set": ["ISS"]}).balance_set == ("ISS",)
 
 
 def test_undeclared_interaction_covariate():
-    with pytest.raises(ConfigError, match="interaction"):
-        parse_config('{"interaction": {"covariate": "Nope", "coefficient": 0.1}}')
+    for covariate, study_B in (("Nope", {}), ("PLNEN", STUDY_B_WITHOUT_PLNEN)):
+        doc = {"interaction": {"covariate": covariate, "coefficient": 0.1},
+               "balance_set": ["ISS"], "study_B": study_B}
+        with pytest.raises(ConfigError, match="interaction") as info:
+            parse_config(doc)
+        assert info.value.path == "interaction.covariate"
 
 
 def test_missing_dist_field():
@@ -96,6 +113,41 @@ def test_invalid_parameter_reported_with_path():
             parse_config({"seed": seed})
         assert info.value.path == "seed"
     assert parse_config({"seed": 5.0}).seed == 5
+    # a wrong JSON type is a ConfigError naming its field, never a bare
+    # TypeError, ValueError or AttributeError, and never coerced
+    normal = {"kind": "normal", "mean": None, "sd": 1.0}
+    for doc, path in (
+            ({"study_A": {"covariates": [{"name": "x", "dist": normal}]}},
+             "study_A.covariates[0].dist.mean"),
+            ({"study_A": {"covariates": [{"name": "x", "dist": {"kind": "uniform01"},
+                                          "prognostic_coef": "x"}]}},
+             "study_A.covariates[0].prognostic_coef"),
+            ({"study_A": {"treatment_log_hr": None}}, "study_A.treatment_log_hr"),
+            ({"study_B": {"treatment_log_hr": True}}, "study_B.treatment_log_hr"),
+            ({"study_A": {"covariates": [{"name": "x", "dist": {
+                "kind": "bernoulli", "p": True}}]}}, "study_A.covariates[0].dist.p"),
+            ({"interaction": {"covariate": "Age", "coefficient": "x"}},
+             "interaction.coefficient"),
+            ({"interaction": {"covariate": 7, "coefficient": 0.1}},
+             "interaction.covariate"),
+            ({"study_A": []}, "study_A"),
+            ({"study_A": {"covariates": {"name": "x"}}}, "study_A.covariates"),
+            ({"study_A": {"covariates": ["x"]}}, "study_A.covariates[0]"),
+            ({"study_A": {"covariates": [{"name": "x", "dist": "normal"}]}},
+             "study_A.covariates[0].dist"),
+            ({"study_A": {"covariates": [{"name": "x", "dist": {"kind": []}}]}},
+             "study_A.covariates[0].dist.kind"),
+            ({"study_A": {"covariates": [{"name": 7, "dist": {"kind": "uniform01"}}]}},
+             "study_A.covariates[0].name"),
+            ({"balance_set": "PLNEN"}, "balance_set"),
+            ({"balance_set": [1]}, "balance_set"),
+            ({"interaction": [1]}, "interaction")):
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.path == path, (doc, info.value)
+    for text in ("[]", "1", "null"):
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            parse_config(text)
     # names become CSV header fields and --balance-set entries
     for name in ("", "a,b", 'a"b', "a\nb", "a\rb"):
         doc = {"study_A": {"covariates": [
@@ -113,14 +165,6 @@ def test_odd_n_rejected():
             parse_config(text)
         assert info.value.path == "n"
     assert parse_config('{"n": 2000.0}').n == 2000
-
-
-def test_round_trip_is_idempotent():
-    doc = {"seed": 9, "n": 500,
-           "interaction": {"covariate": "Age", "coefficient": 0.005}}
-    once = serialize_config(parse_config(doc))
-    twice = serialize_config(parse_config(once))
-    assert once == twice
 
 
 def test_interaction_parsing():
@@ -233,6 +277,22 @@ def test_commands_that_draw_nothing_do_not_load_scipy(tmp_path: Path):
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env={"PYTHONPATH": src}, timeout=120)
         assert proc.returncode == 0, (argv, proc.stderr)
+
+
+def test_cli_input_failures_are_one_line_messages(tmp_path: Path):
+    config = tmp_path / "config.json"
+    config.write_text('{"n": 3}')
+    data = tmp_path / "study_A.csv"
+    data.write_text("subject_id,x,trt,time,status\n0,1,0,abc,1\n1,0,1,2.5,1\n")
+    src = str(Path(maicsim.__file__).parent.parent)
+    for argv in (["scenario", "--config", str(config)], ["fit", "--data", str(data)]):
+        proc = subprocess.run([sys.executable, "-m", "maicsim.cli", *argv],
+                              capture_output=True, text=True,
+                              env={"PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 1, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"maicsim {argv[0]}: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_cli_simulate_weights_fit(tmp_path: Path, capsys):
