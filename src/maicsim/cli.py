@@ -130,10 +130,13 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     # failures of the input or of the model, not of the program; ValueError
-    # covers harness.ConfigError and a malformed CSV
-    except (ValueError, harness.StageError, coxph.CoxError,
+    # covers harness.ConfigError and a malformed CSV, KeyError a covariate
+    # the CSV lacks, OSError an input file that cannot be read
+    except (ValueError, KeyError, OSError, harness.StageError, coxph.CoxError,
             balance.TargetOutsideSupport, balance.WeightsNotConverged) as exc:
-        parser.exit(1, f"maicsim {args.command}: {exc}\n")
+        # str() of a KeyError quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        parser.exit(1, f"maicsim {args.command}: {message}\n")
 
 
 if __name__ == "__main__":

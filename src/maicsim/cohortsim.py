@@ -12,10 +12,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .coxph import SurvivalSample, fit_cox, require_converged
+from .coxph import SurvivalSample, fit_cox, require_converged, time_order
 from .stochastic import DistributionSpec, Exponential, RandomStream, draw_variates
 
 
@@ -72,6 +73,12 @@ class TrialData:
     @property
     def n(self) -> int:
         return self.X.shape[0]
+
+    @cached_property
+    def time_order(self) -> np.ndarray:
+        """``coxph.time_order`` of the times, sorted once and shared by every
+        Cox fit on this trial."""
+        return time_order(self.time)
 
     def column(self, name: str) -> np.ndarray:
         try:
@@ -161,7 +168,8 @@ def summarize_aggregate(trial: TrialData) -> AggregateSummary:
     if trial.n == 0:
         raise ValueError("trial is empty")
     fit = require_converged(
-        fit_cox(SurvivalSample(trial.time, trial.status, trial.trt[:, None])))
+        fit_cox(SurvivalSample(trial.time, trial.status, trial.trt,
+                               order=trial.time_order)))
     return AggregateSummary(
         covariate_names=trial.covariate_names,
         means=covariate_means(trial),

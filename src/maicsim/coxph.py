@@ -11,7 +11,8 @@ Lin-Wei robust sandwich built from per-subject score residuals.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,22 +46,36 @@ class NotConverged(CoxError):
     """Newton stopped before the partial likelihood converged."""
 
 
+def time_order(time: np.ndarray) -> np.ndarray:
+    """Indices that sort ``time`` in descending order; tied subjects come in
+    reverse input order, so the order is ascending stable order reversed."""
+    return np.argsort(time, kind="stable")[::-1]
+
+
 @dataclass(frozen=True)
 class SurvivalSample:
+    """Outcomes and design of one fit. ``Z`` is n x p, or one covariate as a
+    vector. ``order`` is ``time_order(time)``, passed in so that every fit
+    on one trial shares a single sort; a given order is checked, not
+    trusted."""
+
     time: np.ndarray
     status: np.ndarray
     Z: np.ndarray
     w: np.ndarray | None = None
+    order: np.ndarray | None = None
 
     def __post_init__(self):
         time = np.asarray(self.time, dtype=float)
         status = np.asarray(self.status, dtype=float)
-        Z = np.atleast_2d(np.asarray(self.Z, dtype=float))
-        if Z.shape[0] != time.shape[0]:
-            Z = Z.T
+        Z = np.asarray(self.Z, dtype=float)
+        if Z.ndim == 1:
+            Z = Z[:, None]
         w = np.ones(time.shape[0]) if self.w is None else np.asarray(self.w, dtype=float)
         n = time.shape[0]
-        if status.shape[0] != n or Z.shape[0] != n or w.shape[0] != n:
+        if Z.ndim != 2 or Z.shape[0] != n:
+            raise ValueError(f"Z must be n x p with n = {n} rows, got shape {Z.shape}")
+        if status.shape[0] != n or w.shape[0] != n:
             raise ValueError("time, status, Z and w must have matching length")
         if np.any(time <= 0):
             raise ValueError("all times must be positive")
@@ -70,10 +85,21 @@ class SurvivalSample:
             raise ValueError("all weights must be positive")
         if not np.any(status == 1):
             raise NoEvents("sample contains no events")
+        if self.order is None:
+            order = time_order(time)
+        else:
+            order = np.asarray(self.order)
+            if (order.shape != (n,) or order.dtype.kind not in "iu"
+                    or np.any(np.bincount(order, minlength=n) != 1)):
+                raise ValueError("order must be a permutation of the n subjects")
+            t = time[order]
+            if np.any(t[1:] > t[:-1]):
+                raise ValueError("order does not sort the times in descending order")
         object.__setattr__(self, "time", time)
         object.__setattr__(self, "status", status)
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "w", w)
+        object.__setattr__(self, "order", order)
 
     @property
     def n(self) -> int:
@@ -84,48 +110,69 @@ class SurvivalSample:
         return self.Z.shape[1]
 
 
+class _SortedSample:
+    """The sample in descending time order with covariates stored p x n, so
+    that the risk-set sums S0 and S1 are forward cumulative sums over
+    contiguous memory."""
+
+    def __init__(self, data: SurvivalSample):
+        self.order = data.order
+        t = data.time[self.order]
+        self.d = data.status[self.order]
+        self.w = data.w[self.order]
+        # gathering along the rows of a p x n copy is faster than transposing
+        # a gathered n x p array
+        self.z = np.ascontiguousarray(data.Z.T).take(self.order, axis=1)
+        self.w_event = np.where(self.d == 1, self.w, 0.0)
+        # event positions in ascending time, the order the log-likelihood sums
+        self.events = np.flatnonzero(self.d)[::-1]
+        # subject i's risk set runs through the last position sharing its time;
+        # the events at or before its time start at the first such position
+        new = t[1:] != t[:-1]
+        self.first = self.last = None
+        if not np.all(new):
+            warnings.warn("tied event times present; using Breslow tie handling")
+            group = np.concatenate(([0], np.cumsum(new)))
+            bounds = np.flatnonzero(np.concatenate(([True], new, [True])))
+            self.first = bounds[:-1][group]
+            self.last = bounds[1:][group] - 1
+
+    def at_risk(self, x: np.ndarray) -> np.ndarray:
+        """Sums of ``x`` (along its last axis) over each subject's risk set."""
+        sums = np.cumsum(x, axis=-1)
+        return sums if self.last is None else sums[..., self.last]
+
+    def events_through(self, a: np.ndarray) -> np.ndarray:
+        """Sums of ``a`` (along its last axis, zero off events) over the events
+        at or before each subject's time."""
+        sums = np.cumsum(a[..., ::-1], axis=-1)[..., ::-1]
+        return sums if self.first is None else sums[..., self.first]
+
+    def risk_sums(self, beta: np.ndarray):
+        """eta, the risk scores w exp(eta), S0 and S1 over each risk set, and
+        a = w / S0 at events (0 elsewhere)."""
+        eta = beta @ self.z
+        r = self.w * np.exp(eta)
+        s0 = self.at_risk(r)
+        return eta, r, s0, self.at_risk(r * self.z), self.w_event / s0
+
+
 @dataclass
 class CoxFit:
     beta: np.ndarray
     se_model: np.ndarray
-    se_robust: np.ndarray
     loglik_at_solution: float
     iterations: int
     converged: bool
     score_norm: float
+    # what the sandwich needs, so that it is built only if se_robust is read
+    _sorted: _SortedSample = field(repr=False, compare=False)
+    _bread: np.ndarray = field(repr=False, compare=False)
 
-
-class _SortedSample:
-    """Sample sorted by ascending time with tie-group indices precomputed."""
-
-    def __init__(self, data: SurvivalSample):
-        order = np.argsort(data.time, kind="stable")
-        self.order = order
-        self.t = data.time[order]
-        self.d = data.status[order]
-        self.z = data.Z[order]
-        self.w = data.w[order]
-        # risk set of t_i starts at the first index sharing its time;
-        # events at t_i accumulate through the last index sharing its time
-        self.first = np.searchsorted(self.t, self.t, side="left")
-        self.last = np.searchsorted(self.t, self.t, side="right") - 1
-        if np.any(self.first != self.last):
-            warnings.warn("tied event times present; using Breslow tie handling")
-        self.events = self.d == 1
-
-    def at_risk(self, x: np.ndarray) -> np.ndarray:
-        """Sums of ``x`` (along axis 0) over the risk set of each subject's time."""
-        return np.cumsum(x[::-1], axis=0)[::-1][self.first]
-
-    def events_through(self, x: np.ndarray) -> np.ndarray:
-        """Sums of ``x`` (along axis 0) over the events at or before each subject's time."""
-        return np.cumsum(np.where(self.events, x.T, 0.0).T, axis=0)[self.last]
-
-    def risk_sums(self, beta: np.ndarray):
-        """eta, the risk scores w exp(eta), and S0, S1 over each risk set."""
-        eta = self.z @ beta
-        r = self.w * np.exp(eta)
-        return eta, r, self.at_risk(r), self.at_risk(r[:, None] * self.z)
+    @cached_property
+    def se_robust(self) -> np.ndarray:
+        """Lin-Wei robust standard errors, built on first read."""
+        return np.sqrt(np.diag(_sandwich(self._sorted, self.beta, self._bread)))
 
 
 def partial_loglik(beta: np.ndarray, data: SurvivalSample) -> float:
@@ -139,15 +186,18 @@ def score_and_information(beta: np.ndarray, data: SurvivalSample):
 
 
 def _score_info(s: _SortedSample, beta: np.ndarray):
-    eta, r, s0, s1 = s.risk_sums(beta)
+    eta, r, s0, s1, a = s.risk_sums(beta)
     e = s.events
-    we = s.w[e]
-    zbar = s1[e] / s0[e][:, None]
-    loglik = float(np.sum(we * (eta[e] - np.log(s0[e]))))
-    grad = (we[:, None] * (s.z[e] - zbar)).sum(axis=0)
-    # sum_e w_e / S0(t_e) sum_{t_i >= t_e} r_i z_i z_i', summed by subject i instead
-    g0 = s.events_through(s.w / s0)
-    info = (s.z.T * (r * g0)) @ s.z - (we[:, None] * zbar).T @ zbar
+    loglik = float(np.sum(s.w[e] * (eta[e] - np.log(s0[e]))))
+    # one p x n scratch array serves all three products. (Z - S1/S0) is
+    # formed before the product: sum_e w_e z_e - S1 a would cancel two large
+    # sums
+    tmp = s1 / s0
+    grad = np.subtract(s.z, tmp, out=tmp) @ s.w_event
+    # sum_e w_e / S0(t_e) sum_{t_i >= t_e} r_i z_i z_i', summed by subject i
+    # instead: G0_i sums w_e / S0(t_e) over the events up to t_i
+    info = np.multiply(s.z, r * s.events_through(a), out=tmp) @ s.z.T
+    info -= np.multiply(s1, a / s0, out=tmp) @ s1.T
     return loglik, grad, info
 
 
@@ -170,15 +220,15 @@ def fit_cox(data: SurvivalSample) -> CoxFit:
         raise MonotoneLikelihood(
             f"Newton converged {np.max(remaining):.3g} short in the linear "
             "predictor; likely separation")
-    se_model = np.sqrt(np.diag(cov_model))
     return CoxFit(
         beta=beta,
-        se_model=se_model,
-        se_robust=np.sqrt(np.diag(_sandwich(s, beta, cov_model))),
+        se_model=np.sqrt(np.diag(cov_model)),
         loglik_at_solution=-neg_loglik,
         iterations=iterations,
         converged=converged,
         score_norm=float(np.max(np.abs(neg_score))),
+        _sorted=s,
+        _bread=cov_model,
     )
 
 
@@ -191,25 +241,23 @@ def require_converged(fit: CoxFit) -> CoxFit:
 
 
 def score_residuals(beta: np.ndarray, data: SurvivalSample) -> np.ndarray:
-    """Per-subject score residuals U_i (weights excluded), in input order.
+    """Per-subject score residuals U_i (weights excluded), n x p in input order.
 
     Sum_i w_i U_i equals the score, hence vanishes at the optimum.
     """
     s = _SortedSample(data)
     out = np.empty((data.n, data.p))
-    out[s.order] = _residuals(s, np.asarray(beta, dtype=float))
+    out[s.order] = _residuals(s, np.asarray(beta, dtype=float)).T
     return out
 
 
 def _residuals(s: _SortedSample, beta: np.ndarray) -> np.ndarray:
-    """Score residuals in the time order of ``s``."""
-    eta, _, s0, s1 = s.risk_sums(beta)
-    zbar = s1 / s0[:, None]
-    g0 = s.events_through(s.w / s0)
-    g1 = s.events_through((s.w / s0)[:, None] * zbar)
-    expeta = np.exp(eta)
-    return (s.d[:, None] * (s.z - zbar)
-            - expeta[:, None] * (g0[:, None] * s.z - g1))
+    """Score residuals, p x n in the time order of ``s``."""
+    eta, _, s0, s1, a = s.risk_sums(beta)
+    zbar = s1 / s0
+    g0 = s.events_through(a)
+    g1 = s.events_through(a * zbar)
+    return s.d * (s.z - zbar) - np.exp(eta) * (g0 * s.z - g1)
 
 
 def robust_variance(fit: CoxFit, data: SurvivalSample) -> np.ndarray:
@@ -223,5 +271,5 @@ def robust_variance(fit: CoxFit, data: SurvivalSample) -> np.ndarray:
 
 
 def _sandwich(s: _SortedSample, beta: np.ndarray, bread: np.ndarray) -> np.ndarray:
-    uw = s.w[:, None] * _residuals(s, beta)
-    return bread @ (uw.T @ uw) @ bread
+    uw = s.w * _residuals(s, beta)
+    return bread @ (uw @ uw.T) @ bread

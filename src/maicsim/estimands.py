@@ -85,7 +85,8 @@ def marginal_effect(trial: TrialData, weights: np.ndarray | None = None,
     With weights the robust sandwich standard error is reported, since the
     weighted score contributions are no longer independent unit terms.
     """
-    sample = SurvivalSample(trial.time, trial.status, trial.trt[:, None], weights)
+    sample = SurvivalSample(trial.time, trial.status, trial.trt, weights,
+                            trial.time_order)
     fit = require_converged(fit_cox(sample))
     se = fit.se_robust[0] if weights is not None else fit.se_model[0]
     return EffectEstimate(float(fit.beta[0]), float(se), MARGINAL, population)
@@ -99,7 +100,8 @@ def conditional_effect(trial: TrialData, adjustment_set,
         est = marginal_effect(trial, population=population)
         return EffectEstimate(est.log_hr, est.se, CONDITIONAL, population)
     Z = np.column_stack([trial.trt, trial.columns(adjustment_set)])
-    fit = require_converged(fit_cox(SurvivalSample(trial.time, trial.status, Z)))
+    fit = require_converged(fit_cox(SurvivalSample(trial.time, trial.status, Z,
+                                                   order=trial.time_order)))
     return EffectEstimate(float(fit.beta[0]), float(fit.se_model[0]),
                           CONDITIONAL, population)
 

@@ -16,6 +16,7 @@ from maicsim.coxph import (
     robust_variance,
     score_and_information,
     score_residuals,
+    time_order,
 )
 from maicsim.stochastic import seed_stream
 
@@ -53,6 +54,31 @@ def brute_force_information(beta, time, status, Z, w):
             s2 = (r[:, None] * Z[risk]).T @ Z[risk]
             info += w[i] * (s2 / r.sum() - np.outer(zbar, zbar))
     return info
+
+
+def brute_force_score_and_residuals(beta, time, status, Z, w):
+    """Independent oracle: the score sum_e w_e (z_e - zbar(t_e)) and each
+    subject's score residual d_i (z_i - zbar(t_i)) - sum over events e with
+    t_e <= t_i of w_e exp(z_i beta) / S0(t_e) (z_i - zbar(t_e)), each risk
+    set enumerated directly."""
+    expeta = np.exp(Z @ beta)
+
+    def s0_zbar(t):
+        risk = time >= t
+        r = w[risk] * expeta[risk]
+        return r.sum(), r @ Z[risk] / r.sum()
+
+    score = np.zeros(Z.shape[1])
+    resid = np.zeros(Z.shape)
+    for i in range(len(time)):
+        if status[i] == 1:
+            score += w[i] * (Z[i] - s0_zbar(time[i])[1])
+            resid[i] += Z[i] - s0_zbar(time[i])[1]
+        for e in range(len(time)):
+            if status[e] == 1 and time[e] <= time[i]:
+                s0, zbar = s0_zbar(time[e])
+                resid[i] -= w[e] * expeta[i] / s0 * (Z[i] - zbar)
+    return score, resid
 
 
 def random_sample(rng, n=12, p=2, weighted=True):
@@ -128,23 +154,70 @@ def test_zero_column_gives_zero_score_and_information():
     assert np.all(info[1, :] == 0.0) and np.all(info[:, 1] == 0.0)
 
 
-def test_information_matches_brute_force_oracle():
+def tied_samples(rng):
+    """Weighted samples with tied times: one hand-made, with a tie group
+    holding two events and a censoring and another holding one of each,
+    then times rounded so that ties are common."""
+    time = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 4.0, 4.0])
+    status = np.array([1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0])
+    yield SurvivalSample(time, status, rng.normal(size=(8, 3)),
+                         rng.uniform(0.5, 2.0, 8))
+    for _ in range(10):
+        data = random_sample(rng, n=15, p=3)
+        yield SurvivalSample(np.round(data.time, 1) + 0.1, data.status, data.Z,
+                             data.w)
+
+
+def oracle_inputs():
+    """(beta, sample) pairs: 20 weighted samples, then the tied ones."""
     rng = np.random.default_rng(18)
-    for _ in range(20):
-        data = random_sample(rng, n=12, p=3)
-        beta = rng.normal(size=3)
+    samples = [random_sample(rng, n=12, p=3) for _ in range(20)]
+    for data in samples + list(tied_samples(rng)):
+        yield rng.normal(size=3), data
+
+
+@pytest.mark.filterwarnings("ignore:tied event times")
+def test_information_matches_brute_force_oracle():
+    for beta, data in oracle_inputs():
         _, info = score_and_information(beta, data)
         expected = brute_force_information(beta, data.time, data.status, data.Z, data.w)
         np.testing.assert_allclose(info, expected, rtol=1e-10)
-    # tied times, events and censorings in one tie group (Breslow)
-    time = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 4.0, 4.0])
-    status = np.array([1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0])
-    data = SurvivalSample(time, status, rng.normal(size=(8, 3)), rng.uniform(0.5, 2.0, 8))
-    beta = rng.normal(size=3)
-    with pytest.warns(UserWarning, match="tied"):
-        _, info = score_and_information(beta, data)
-    expected = brute_force_information(beta, time, status, data.Z, data.w)
-    np.testing.assert_allclose(info, expected, rtol=1e-10)
+
+
+@pytest.mark.filterwarnings("ignore:tied event times")
+def test_score_and_residuals_match_brute_force_oracle():
+    for beta, data in oracle_inputs():
+        score, resid = brute_force_score_and_residuals(
+            beta, data.time, data.status, data.Z, data.w)
+        np.testing.assert_allclose(score_and_information(beta, data)[0], score,
+                                   rtol=1e-10)
+        np.testing.assert_allclose(score_residuals(beta, data), resid, rtol=1e-10)
+
+
+def test_shared_time_order_is_checked():
+    rng = np.random.default_rng(20)
+    data = random_sample(rng, n=12, p=2)
+    order = time_order(data.time)
+    shared = SurvivalSample(data.time, data.status, data.Z, data.w, order)
+    beta = np.array([0.3, -0.2])
+    assert partial_loglik(beta, shared) == partial_loglik(beta, data)
+    # the input order, which does not sort the times, an ascending order,
+    # and orders that are not permutations of the subjects
+    for bad in (np.arange(12), order[::-1], order[:-1], np.zeros(12, dtype=int),
+                order.astype(float)):
+        with pytest.raises(ValueError, match="order"):
+            SurvivalSample(data.time, data.status, data.Z, data.w, bad)
+
+
+def test_design_rows_must_be_subjects():
+    time, status = np.array([1.0, 2.0, 3.0]), np.ones(3)
+    z = np.array([0.0, 1.0, 0.0])
+    assert SurvivalSample(time, status, z).Z.shape == (3, 1)
+    # a p x n design is refused, not transposed
+    with pytest.raises(ValueError, match="rows"):
+        SurvivalSample(time, status, np.ones((2, 3)))
+    with pytest.raises(ValueError, match="rows"):
+        SurvivalSample(time, status, z[None, :])
 
 
 def _fit_peak_bytes(data):

@@ -211,6 +211,42 @@ def test_replicate_report_determinism_and_schema():
     assert "maic_hr_scenario4" in quantities
 
 
+def test_each_trial_sorted_once_and_sandwich_built_when_read(monkeypatch):
+    # every fit on a trial shares its one time order, and only a fit whose
+    # robust SE is read builds the sandwich: the weighted MAIC fits
+    counts = {"sorts": 0, "sandwiches": 0}
+    argsort, sandwich = np.argsort, coxph._sandwich
+
+    def counting_argsort(*args, **kwargs):
+        counts["sorts"] += 1
+        return argsort(*args, **kwargs)
+
+    def counting_sandwich(*args):
+        counts["sandwiches"] += 1
+        return sandwich(*args)
+
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    monkeypatch.setattr(coxph, "_sandwich", counting_sandwich)
+    run_scenario(parse_config(SMALL))
+    assert counts == {"sorts": 2, "sandwiches": 1}
+    counts.update(sorts=0, sandwiches=0)
+    replicate_appendix(seed=5, n=2000)
+    # trials A, B, A with the interaction, and the two truth cohorts;
+    # MAIC scenarios 1-4
+    assert counts == {"sorts": 5, "sandwiches": 4}
+
+    trial_A, _ = simulate_studies(parse_config(SMALL))
+    w = np.random.default_rng(21).uniform(0.5, 2.0, trial_A.n)
+    data = coxph.SurvivalSample(trial_A.time, trial_A.status, trial_A.trt, w,
+                                trial_A.time_order)
+    fit = coxph.fit_cox(data)
+    counts.update(sandwiches=0)
+    se_robust = fit.se_robust
+    assert fit.se_robust is se_robust and counts["sandwiches"] == 1
+    assert np.array_equal(se_robust,
+                          np.sqrt(np.diag(coxph.robust_variance(fit, data))))
+
+
 def test_stage_annotation_on_failure():
     doc = dict(SMALL)
     doc["balance_set"] = ["Age"]
@@ -284,8 +320,26 @@ def test_cli_input_failures_are_one_line_messages(tmp_path: Path):
     config.write_text('{"n": 3}')
     data = tmp_path / "study_A.csv"
     data.write_text("subject_id,x,trt,time,status\n0,1,0,abc,1\n1,0,1,2.5,1\n")
+    good = tmp_path / "good.csv"
+    good.write_text("subject_id,x,trt,time,status\n0,1,0,1.5,1\n1,0,1,2.5,1\n")
+    targets = tmp_path / "targets.json"
+    targets.write_text('{"Nope": 1.0}')
+    missing = str(tmp_path / "missing")
     src = str(Path(maicsim.__file__).parent.parent)
-    for argv in (["scenario", "--config", str(config)], ["fit", "--data", str(data)]):
+    for argv in (["scenario", "--config", str(config)],
+                 ["fit", "--data", str(data)],
+                 # a covariate the CSV lacks (KeyError)
+                 ["fit", "--data", str(good), "--adjust", "Nope"],
+                 ["weights", "--ipd", str(good), "--targets", str(targets),
+                  "--balance-set", "Nope"],
+                 # input files that do not exist (OSError)
+                 ["fit", "--data", missing],
+                 ["weights", "--ipd", missing, "--targets", str(targets),
+                  "--balance-set", "Nope"],
+                 ["weights", "--ipd", str(good), "--targets", missing,
+                  "--balance-set", "Nope"],
+                 ["simulate", "--config", missing, "--out", str(tmp_path / "out")],
+                 ["scenario", "--config", missing]):
         proc = subprocess.run([sys.executable, "-m", "maicsim.cli", *argv],
                               capture_output=True, text=True,
                               env={"PYTHONPATH": src}, timeout=120)
@@ -293,6 +347,7 @@ def test_cli_input_failures_are_one_line_messages(tmp_path: Path):
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"maicsim {argv[0]}: ")
         assert proc.stderr.count("\n") == 1, proc.stderr
+        assert "\"" not in proc.stderr, proc.stderr
 
 
 def test_cli_simulate_weights_fit(tmp_path: Path, capsys):
