@@ -46,8 +46,9 @@ def _cmd_weights(args) -> int:
                                     target_means, names)
     sys.stdout.write(report.to_tsv())
     if args.out:
-        Path(args.out).write_text(
-            "weight\n" + "".join("%.10g\n" % w for w in weights.w.tolist()))
+        with open(args.out, "w") as f:
+            f.write("weight\n")
+            f.writelines(cohortsim.format_rows("%.10g\n", [weights.w]))
     return 0
 
 
@@ -55,11 +56,11 @@ def _cmd_fit(args) -> int:
     trial = cohortsim.trial_from_csv(Path(args.data).read_text())
     weights = None
     if args.weights:
-        text = Path(args.weights).read_text()
-        head, _, body = text.partition("\n")
+        data = io.BytesIO(Path(args.weights).read_bytes())
         # the "weight" header line is optional
-        weights = np.loadtxt(io.StringIO(body if head.strip() == "weight" else text),
-                             comments=None, ndmin=1)
+        if data.readline().strip() != b"weight":
+            data.seek(0)
+        weights = np.loadtxt(data, comments=None, ndmin=1)
     if args.adjust:
         names = [s for s in args.adjust.split(",") if s]
         if weights is not None:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import io
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,6 +20,8 @@ import numpy as np
 
 from .coxph import SurvivalSample, fit_cox, require_converged, time_order
 from .stochastic import DistributionSpec, Exponential, RandomStream, draw_variates
+
+_NON_SPACE = re.compile(r"\S")
 
 
 @dataclass(frozen=True)
@@ -178,30 +182,45 @@ def summarize_aggregate(trial: TrialData) -> AggregateSummary:
     )
 
 
+# rows are formatted a block at a time, so only one block's values are ever
+# held as Python objects
+_BLOCK_ROWS = 8192
+
+
+def format_rows(fmt: str, columns) -> Iterator[str]:
+    """``fmt % row`` for each row of the equal-length 1-D ``columns``,
+    joined a block of rows at a time."""
+    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+        rows = zip(*(col[lo:lo + _BLOCK_ROWS].tolist() for col in columns))
+        yield "".join(fmt % row for row in rows)
+
+
 def trial_to_csv(trial: TrialData) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(
+    head = io.StringIO()
+    csv.writer(head, lineterminator="\n").writerow(
         ["subject_id", *trial.covariate_names, "trt", "time", "status"])
     # "%.10g" % v is the text of f"{v:.10g}"; "%d" truncates as int() does
     fmt = "%d," + "%.10g," * trial.X.shape[1] + "%d,%.10g,%d\n"
-    rows = zip(range(trial.n), *trial.X.T.tolist(), trial.trt.tolist(),
-               trial.time.tolist(), trial.status.tolist())
-    buf.write("".join(fmt % row for row in rows))
-    return buf.getvalue()
+    columns = [np.arange(trial.n), *trial.X.T, trial.trt, trial.time, trial.status]
+    return "".join([head.getvalue(), *format_rows(fmt, columns)])
 
 
 def trial_from_csv(text: str) -> TrialData:
     if not text:
         raise ValueError("trial CSV is empty")
-    head, _, body = text.partition("\n")
-    header = next(csv.reader([head]), [])
-    if not body.strip():
+    # found in place: slicing off the body would copy it
+    head_end = text.find("\n")
+    if head_end < 0 or not _NON_SPACE.search(text, head_end):
         raise ValueError("trial CSV has a header but no subject rows")
+    header = next(csv.reader([text[:head_end]]), [])
     if header[:1] != ["subject_id"] or header[-3:] != ["trt", "time", "status"]:
         raise ValueError("unrecognized trial CSV header")
     names = tuple(header[1:-3])
-    # numpy's C parser raises ValueError on a ragged row or a non-number
-    table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    # numpy's C parser raises ValueError on a ragged row or a non-number; it
+    # reads bytes a chunk at a time, where a StringIO would hold the whole
+    # text at 4 bytes a character
+    table = np.loadtxt(io.BytesIO(text.encode()), delimiter=",", comments=None,
+                       skiprows=1, ndmin=2)
     if table.shape[1] != len(header):
         raise ValueError(f"trial CSV rows have {table.shape[1]} fields but the "
                          f"header names {len(header)}")

@@ -17,6 +17,9 @@ from typing import Union
 import numpy as np
 
 _U53 = 1 << 53
+# (2**53 - 1 + 0.5) * 2**-53 rounds to 1.0; the largest double below 1 is
+# the stream's largest uniform
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 class RandomStream:
@@ -33,7 +36,7 @@ class RandomStream:
         """n i.i.d. uniforms on the open interval (0, 1)."""
         k = self._bits.integers(0, _U53, size=n, dtype=np.int64)
         self.draw_count += int(n)
-        return (k + 0.5) * 2.0**-53
+        return np.minimum((k + 0.5) * 2.0**-53, _BELOW_ONE)
 
     def uniform(self) -> float:
         return float(self.uniforms(1)[0])
@@ -96,18 +99,105 @@ def exponential_inverse(u, rate: float):
     return -np.log(u) / rate
 
 
+# Cephes ``ndtri`` (S. L. Moshier, *Methods and Programs for Mathematical
+# Functions*, 1989), the algorithm of scipy.special.ndtri: three rational
+# approximations P(x) / Q(x), highest power first, Q's leading 1 omitted.
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242
+# e^-2 < y <= 1 - e^-2, in (y - 0.5)**2
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+       -5.66762857469070293439E1, 1.39312609387279679503E1,
+       -1.23916583867381258016E0)
+_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+       8.63602421390890590575E1, -2.25462687854119370527E2,
+       2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+# the tails, x = sqrt(-2 log y) in [2, 8), in 1 / x
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+       5.71628192246421288162E1, 4.40805073893200834700E1,
+       1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+       -8.57456785154685413611E-4)
+_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+       4.13172038254672030440E1, 1.50425385692907503408E1,
+       2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+# x >= 8, that is y < exp(-32)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+       3.93881025292474443415E0, 1.33303460815807542389E0,
+       2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6,
+       6.23974539184983293730E-9)
+_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+       1.37702099489081330271E0, 2.16236993594496635890E-1,
+       1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
+
+def _polevl(x: np.ndarray, coef) -> np.ndarray:
+    """The polynomial ``coef`` at x, in Cephes' Horner order."""
+    acc = coef[0] * x
+    for c in coef[1:-1]:
+        acc += c
+        acc *= x
+    acc += coef[-1]
+    return acc
+
+
+def _p1evl(x: np.ndarray, coef) -> np.ndarray:
+    """As ``_polevl``, with a leading coefficient of 1 that ``coef`` omits."""
+    acc = x + coef[0]
+    for c in coef[1:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def ndtri(y: np.ndarray) -> np.ndarray:
+    """The standard Normal quantile of each y, a 1-D array in (0, 1).
+
+    A port of Cephes ``ndtri`` that keeps its Horner order and its
+    ``(y2 * P) / Q`` and ``(z * P) / Q`` grouping: for e^-2 < y <= 1 - e^-2
+    it equals scipy.special.ndtri bit for bit, and in the tails it differs
+    only as ``np.log`` differs from the C library's ``log``. The central
+    formula is evaluated on every y, since gathering the central three
+    quarters would cost more than it saves; the tail formulas only on the
+    y in the tails.
+    """
+    y = np.asarray(y, dtype=float)
+    c = y - 0.5
+    c2 = c * c
+    x = (c + c * ((c2 * _polevl(c2, _P0)) / _p1evl(c2, _Q0))) * _SQRT_2PI
+    tails = np.flatnonzero((y <= _EXP_M2) | (y > 1.0 - _EXP_M2))
+    # in min(y, 1 - y): no y above 1 - e^-2 has 1 - y above e^-2
+    s = y[tails]
+    s = np.sqrt(-2.0 * np.log(np.minimum(s, 1.0 - s)))
+    z = 1.0 / s
+    p, q = _polevl(z, _P1), _p1evl(z, _Q1)
+    far = s >= 8.0
+    if far.any():
+        p[far], q[far] = _polevl(z[far], _P2), _p1evl(z[far], _Q2)
+    # the tail value is positive; c < 0 in the lower tail
+    x[tails] = np.copysign((s - np.log(s) / s) - (z * p) / q, c[tails])
+    return x
+
+
 def _draw_poisson(stream: RandomStream, lam: float, n: int) -> np.ndarray:
     # Multiplicative inversion: multiply uniforms until the running product
     # drops below exp(-lam). Exact while exp(-lam) is a normal double (see
-    # Poisson); the number of passes grows with lam.
+    # Poisson); the number of passes grows with lam. Each pass draws one
+    # uniform for each subject still active, in subject order; ``active``
+    # holds their indices and ``prod`` their running products.
     limit = math.exp(-lam)
     counts = np.zeros(n)
     prod = stream.uniforms(n)
-    active = prod >= limit
-    while active.any():
+    active = np.flatnonzero(prod >= limit)
+    prod = prod[active]
+    while active.size:
         counts[active] += 1
-        prod[active] *= stream.uniforms(int(active.sum()))
-        active = prod >= limit
+        prod *= stream.uniforms(active.size)
+        keep = prod >= limit
+        active, prod = active[keep], prod[keep]
     return counts
 
 
@@ -116,9 +206,6 @@ def draw_variates(stream: RandomStream, dist: DistributionSpec, n: int) -> np.nd
     if isinstance(dist, Uniform01):
         return stream.uniforms(n)
     if isinstance(dist, Normal):
-        # imported here: scipy takes about 0.3 s to load, and only Normal
-        # draws need it
-        from scipy.special import ndtri
         return dist.mean + dist.sd * ndtri(stream.uniforms(n))
     if isinstance(dist, Poisson):
         return _draw_poisson(stream, dist.lam, n)

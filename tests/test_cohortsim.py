@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +232,28 @@ def test_csv_round_trip_extreme_values():
              for row in np.column_stack([t.X, t.trt, t.time, t.status])]).tobytes()
         got = np.column_stack([back.X, back.trt, back.time, back.status])
         assert got.tobytes() == want.tobytes()  # bit for bit, -0.0 included
+
+
+def _peak_bytes(fn, *args):
+    """``fn(*args)`` and the peak of what it allocated while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# whole-column lists of Python floats, or a StringIO (4 bytes a character),
+# would take either call past its bound
+def test_csv_write_memory_is_a_small_multiple_of_the_text():
+    text, peak = _peak_bytes(trial_to_csv, small_trial(n=50_000, seed=27))
+    assert peak < 4 * len(text)
+
+
+def test_csv_read_memory_is_a_small_multiple_of_the_text():
+    text = trial_to_csv(small_trial(n=50_000, seed=27))
+    _, peak = _peak_bytes(trial_from_csv, text)
+    assert peak < 5 * len(text)
 
 
 def test_csv_malformed_rows_rejected():

@@ -315,6 +315,20 @@ def test_commands_that_draw_nothing_do_not_load_scipy(tmp_path: Path):
         assert proc.returncode == 0, (argv, proc.stderr)
 
 
+def test_commands_that_draw_do_not_load_scipy(tmp_path: Path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL))
+    code = ("import sys, maicsim.cli\n"
+            f"maicsim.cli.main(['simulate', '--config', {str(config)!r}, "
+            f"'--out', {str(tmp_path / 'data')!r}])\n"
+            f"maicsim.cli.main(['scenario', '--config', {str(config)!r}])\n"
+            "assert 'scipy' not in sys.modules, sorted(sys.modules)\n")
+    src = str(Path(maicsim.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={"PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_input_failures_are_one_line_messages(tmp_path: Path):
     config = tmp_path / "config.json"
     config.write_text('{"n": 3}')

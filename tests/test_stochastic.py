@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import special, stats
 
 from maicsim.stochastic import (
     Bernoulli,
@@ -12,8 +14,11 @@ from maicsim.stochastic import (
     Uniform01,
     draw_variates,
     exponential_inverse,
+    ndtri,
     seed_stream,
 )
+
+E2 = math.exp(-2)
 
 
 def test_same_seed_same_uniforms():
@@ -29,6 +34,20 @@ def test_different_seeds_differ():
 def test_uniforms_in_open_interval():
     u = seed_stream(7).uniforms(10_000)
     assert np.all(u > 0.0) and np.all(u < 1.0)
+
+
+def test_uniforms_below_one_at_the_largest_integer():
+    # (2**53 - 1 + 0.5) * 2**-53 rounds to 1.0, which would make an
+    # Exponential draw 0 and a Normal draw +inf
+    class Bits:
+        def integers(self, low, high, size, dtype):
+            return np.array([0, 2**53 - 1], dtype=dtype)[:size]
+
+    s = seed_stream(7)
+    s._bits = Bits()
+    assert s.uniforms(2).tolist() == [2.0**-54, np.nextafter(1.0, 0.0)]
+    assert np.all(draw_variates(s, Exponential(1.0), 2) > 0)
+    assert np.all(np.isfinite(draw_variates(s, Normal(0.0, 1.0), 2)))
 
 
 def test_reproducible_across_mixed_call_sequence():
@@ -98,6 +117,28 @@ def test_draw_count_poisson_inversion():
     assert s.draw_count == int(x.sum()) + 1000
 
 
+def masked_loop_poisson(stream, lam, n):
+    """Reference sampler: a full-length boolean mask on every pass."""
+    limit = math.exp(-lam)
+    counts = np.zeros(n)
+    prod = stream.uniforms(n)
+    active = prod >= limit
+    while active.any():
+        counts[active] += 1
+        prod[active] *= stream.uniforms(int(active.sum()))
+        active = prod >= limit
+    return counts
+
+
+@pytest.mark.parametrize("lam", [0.5, 3.4, 50, 700])
+def test_poisson_matches_masked_loop(lam):
+    got_stream, want_stream = seed_stream(21), seed_stream(21)
+    got = draw_variates(got_stream, Poisson(lam), 2000)
+    want = masked_loop_poisson(want_stream, lam, 2000)
+    assert got.tobytes() == want.tobytes()
+    assert got_stream.draw_count == want_stream.draw_count
+
+
 def test_poisson_largest_lambda_terminates():
     x = draw_variates(seed_stream(10), Poisson(708.0), 20)
     assert abs(x.mean() - 708.0) < 4 * math.sqrt(708.0 / 20)
@@ -153,3 +194,34 @@ def test_bad_seed_rejected():
         seed_stream(-1)
     with pytest.raises(ValueError):
         seed_stream(2**64)
+
+
+def assert_ndtri_matches_scipy(y):
+    """Bit for bit in the central branch, within 8 ulp in the tails, where
+    only ``np.log`` and the C library's ``log`` may differ."""
+    y = np.asarray(y, dtype=float)
+    got, want = ndtri(y), special.ndtri(y)
+    central = (y > E2) & (y <= 1 - E2)
+    assert got[central].tobytes() == want[central].tobytes()
+    ulps = np.abs(got - want) / np.spacing(np.abs(want))
+    assert np.all(ulps[~central] <= 8), y[~central][ulps[~central] > 8]
+
+
+def test_ndtri_matches_scipy_on_stream_uniforms():
+    assert_ndtri_matches_scipy(seed_stream(2024).uniforms(10**6))
+
+
+def test_ndtri_matches_scipy_at_branch_edges():
+    around = [v for x in (E2, 1 - E2)
+              for v in (np.nextafter(x, 0), x, np.nextafter(x, 1))]
+    # the smallest and largest stream uniforms, the branch edges, the
+    # centre, and a y whose x = sqrt(-2 log y) is at least 8
+    edges = [2.0**-54, 1 - 2.0**-53, *around, 0.5, 1e-300]
+    assert np.sqrt(-2 * np.log(1e-300)) >= 8
+    assert_ndtri_matches_scipy(edges)
+    assert ndtri(np.array([0.5]))[0] == 0.0
+
+
+@given(st.floats(0, 1, exclude_min=True, exclude_max=True))
+def test_ndtri_matches_scipy_property(y):
+    assert_ndtri_matches_scipy([y])
