@@ -160,20 +160,28 @@ class BalanceReport:
 def balance_report(X_ipd: np.ndarray, w: np.ndarray, target_means,
                    names=None) -> BalanceReport:
     X_ipd = np.atleast_2d(np.asarray(X_ipd, dtype=float))
-    if X_ipd.size == 0:
-        X_ipd = X_ipd.reshape(len(w), 0)
     target = np.asarray(target_means, dtype=float).ravel()
     w = np.asarray(w, dtype=float)
     if names is None:
         names = tuple(f"x{k + 1}" for k in range(X_ipd.shape[1]))
-    ipd_means = X_ipd.mean(axis=0) if X_ipd.shape[1] else np.empty(0)
-    weighted = (w[:, None] * X_ipd).sum(axis=0) / w.sum() if X_ipd.shape[1] else np.empty(0)
+    weighted = (w[:, None] * X_ipd).sum(axis=0) / w.sum()
+    ess = effective_sample_size(w)
     return BalanceReport(
         covariate_names=tuple(names),
-        ipd_means=ipd_means,
+        ipd_means=X_ipd.mean(axis=0),
         weighted_means=weighted,
         target_means=target,
         abs_gaps=np.abs(weighted - target),
-        ess=effective_sample_size(w),
-        ess_fraction=effective_sample_size(w) / len(w),
+        ess=ess,
+        ess_fraction=ess / len(w),
     )
+
+
+def weight_to_means(X_ipd: np.ndarray, target_means,
+                    names) -> tuple[MaicWeights, BalanceReport]:
+    """The MAIC weighting step: weights that match the means of ``X_ipd``'s
+    columns to ``target_means``, refused unless Newton converged, and the
+    balance they reach."""
+    weights = require_converged(estimate_weights(
+        center_covariates(X_ipd, target_means, names)))
+    return weights, balance_report(X_ipd, weights.w, target_means, names)

@@ -35,15 +35,15 @@ def _cmd_simulate(args) -> int:
 def _cmd_weights(args) -> int:
     trial = cohortsim.trial_from_csv(Path(args.ipd).read_text())
     targets = json.loads(Path(args.targets).read_text())
+    if not isinstance(targets, dict):
+        raise ValueError(f"targets must be a JSON object, got {targets!r}")
     names = [s for s in args.balance_set.split(",") if s]
     missing = [nm for nm in names if nm not in targets]
     if missing:
-        raise SystemExit(f"no target mean for covariate(s): {missing}")
-    target_means = [float(targets[nm]) for nm in names]
-    prob = balance.center_covariates(trial.columns(names), target_means, names)
-    weights = balance.require_converged(balance.estimate_weights(prob))
-    report = balance.balance_report(trial.columns(names), weights.w,
-                                    target_means, names)
+        raise ValueError(f"no target mean for covariate(s): {', '.join(missing)}")
+    # the config's rule for numbers: finite, and not a boolean
+    target_means = [harness._number(targets, nm, None, "targets") for nm in names]
+    weights, report = balance.weight_to_means(trial.columns(names), target_means, names)
     sys.stdout.write(report.to_tsv())
     if args.out:
         with open(args.out, "w") as f:
@@ -53,6 +53,9 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    if args.adjust and args.weights:
+        raise ValueError("covariate adjustment with weights is not supported; "
+                         "use one or the other")
     trial = cohortsim.trial_from_csv(Path(args.data).read_text())
     weights = None
     if args.weights:
@@ -63,9 +66,6 @@ def _cmd_fit(args) -> int:
         weights = np.loadtxt(data, comments=None, ndmin=1)
     if args.adjust:
         names = [s for s in args.adjust.split(",") if s]
-        if weights is not None:
-            raise SystemExit("covariate adjustment with weights is not supported; "
-                             "use one or the other")
         est = estimands.conditional_effect(trial, names)
     else:
         est = estimands.marginal_effect(trial, weights)

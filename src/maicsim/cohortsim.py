@@ -67,8 +67,11 @@ class TrialData:
         n = self.X.shape[0]
         if not (self.trt.shape[0] == self.time.shape[0] == self.status.shape[0] == n):
             raise ValueError("parallel arrays must share the row count of X")
-        if np.any(self.time <= 0):
-            raise ValueError("all times must be positive")
+        # comparisons with NaN are false, so each test is for the good values
+        if not np.all(np.isfinite(self.X)):
+            raise ValueError("all covariate values X must be finite")
+        if not np.all((self.time > 0) & (self.time < np.inf)):
+            raise ValueError("all times must be finite and positive")
         if not np.all((self.status == 0) | (self.status == 1)):
             raise ValueError("status must be 0/1")
         if not np.all((self.trt == 0) | (self.trt == 1)):

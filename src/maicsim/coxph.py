@@ -77,12 +77,15 @@ class SurvivalSample:
             raise ValueError(f"Z must be n x p with n = {n} rows, got shape {Z.shape}")
         if status.shape[0] != n or w.shape[0] != n:
             raise ValueError("time, status, Z and w must have matching length")
-        if np.any(time <= 0):
-            raise ValueError("all times must be positive")
+        # comparisons with NaN are false, so each test is for the good values
+        if not np.all((time > 0) & (time < np.inf)):
+            raise ValueError("all times must be finite and positive")
         if not np.all((status == 0) | (status == 1)):
             raise ValueError("status must be 0/1")
-        if np.any(w <= 0):
-            raise ValueError("all weights must be positive")
+        if not np.all(np.isfinite(Z)):
+            raise ValueError("all covariate values Z must be finite")
+        if not np.all((w > 0) & (w < np.inf)):
+            raise ValueError("all weights must be finite and positive")
         if not np.any(status == 1):
             raise NoEvents("sample contains no events")
         if self.order is None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohortsim import OutcomeModelSpec, TrialData, simulate_trial
-from .coxph import SurvivalSample, fit_cox, require_converged
+from .coxph import CoxFit, SurvivalSample, fit_cox, require_converged
 from .stochastic import RandomStream
 
 MARGINAL = "marginal"
@@ -78,6 +78,13 @@ def _require_same_scale(d_AC: EffectEstimate, d_BC: EffectEstimate):
             "marginal and conditional hazard ratios are distinct estimands")
 
 
+def _fit(trial: TrialData, Z, weights: np.ndarray | None = None) -> CoxFit:
+    """The converged Cox fit of ``trial``'s outcomes on ``Z``, in the
+    trial's one time order."""
+    return require_converged(fit_cox(SurvivalSample(
+        trial.time, trial.status, Z, weights, trial.time_order)))
+
+
 def marginal_effect(trial: TrialData, weights: np.ndarray | None = None,
                     population: str = "") -> EffectEstimate:
     """Univariable (optionally weighted) Cox fit of outcome on treatment.
@@ -85,9 +92,7 @@ def marginal_effect(trial: TrialData, weights: np.ndarray | None = None,
     With weights the robust sandwich standard error is reported, since the
     weighted score contributions are no longer independent unit terms.
     """
-    sample = SurvivalSample(trial.time, trial.status, trial.trt, weights,
-                            trial.time_order)
-    fit = require_converged(fit_cox(sample))
+    fit = _fit(trial, trial.trt, weights)
     se = fit.se_robust[0] if weights is not None else fit.se_model[0]
     return EffectEstimate(float(fit.beta[0]), float(se), MARGINAL, population)
 
@@ -95,13 +100,7 @@ def marginal_effect(trial: TrialData, weights: np.ndarray | None = None,
 def conditional_effect(trial: TrialData, adjustment_set,
                        population: str = "") -> EffectEstimate:
     """Treatment coefficient of the Cox fit adjusted for the named covariates."""
-    adjustment_set = list(adjustment_set)
-    if not adjustment_set:
-        est = marginal_effect(trial, population=population)
-        return EffectEstimate(est.log_hr, est.se, CONDITIONAL, population)
-    Z = np.column_stack([trial.trt, trial.columns(adjustment_set)])
-    fit = require_converged(fit_cox(SurvivalSample(trial.time, trial.status, Z,
-                                                   order=trial.time_order)))
+    fit = _fit(trial, np.column_stack([trial.trt, *map(trial.column, adjustment_set)]))
     return EffectEstimate(float(fit.beta[0]), float(fit.se_model[0]),
                           CONDITIONAL, population)
 
@@ -111,8 +110,7 @@ def simulated_marginal_loghr(model: OutcomeModelSpec, n: int,
     """Simulation-based truth for the marginal log hazard ratio: the
     univariable Cox treatment coefficient on one large simulated cohort."""
     trial = simulate_trial(model, n, stream)
-    sample = SurvivalSample(trial.time, trial.status, trial.trt[:, None])
-    return float(require_converged(fit_cox(sample)).beta[0])
+    return float(_fit(trial, trial.trt).beta[0])
 
 
 def bucher_compare(d_AC: EffectEstimate, d_BC: EffectEstimate) -> IndirectComparison:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 from . import balance, estimands, stochastic
 from .cohortsim import (
@@ -44,29 +45,18 @@ BASELINE_RATE = 0.5 / 365
 CENSORING_RATE = 0.1 / 365
 
 
-def default_study_A() -> OutcomeModelSpec:
+def _default_study(treatment_log_hr: float, age_mean: float,
+                   iss_p: float) -> OutcomeModelSpec:
+    """A default study; the two differ in the treatment effect, the mean of
+    Age (the effect modifier of scenarios 3-4) and the ISS proportion."""
     return OutcomeModelSpec(
-        treatment_log_hr=B_A,
+        treatment_log_hr=treatment_log_hr,
         baseline_rate=BASELINE_RATE,
         censoring_rate=CENSORING_RATE,
         covariates=(
-            CovariateSpec("Age", Normal(69.3, 5.0)),
+            CovariateSpec("Age", Normal(age_mean, 5.0)),
             CovariateSpec("PLNEN", Poisson(3.4), prognostic_coef=B_PLNEN),
-            CovariateSpec("ISS", Bernoulli(0.74), prognostic_coef=B_ISS),
-            CovariateSpec("Refr", Bernoulli(0.92), prognostic_coef=B_REFR),
-        ),
-    )
-
-
-def default_study_B() -> OutcomeModelSpec:
-    return OutcomeModelSpec(
-        treatment_log_hr=B_B,
-        baseline_rate=BASELINE_RATE,
-        censoring_rate=CENSORING_RATE,
-        covariates=(
-            CovariateSpec("Age", Normal(62.1, 5.0)),
-            CovariateSpec("PLNEN", Poisson(3.4), prognostic_coef=B_PLNEN),
-            CovariateSpec("ISS", Bernoulli(0.77), prognostic_coef=B_ISS),
+            CovariateSpec("ISS", Bernoulli(iss_p), prognostic_coef=B_ISS),
             CovariateSpec("Refr", Bernoulli(0.92), prognostic_coef=B_REFR),
         ),
     )
@@ -82,26 +72,26 @@ class ConfigError(ValueError):
 class ScenarioConfig:
     seed: int = DEFAULT_SEED
     n: int = DEFAULT_N
-    study_A: OutcomeModelSpec = field(default_factory=default_study_A)
-    study_B: OutcomeModelSpec = field(default_factory=default_study_B)
+    study_A: OutcomeModelSpec = _default_study(B_A, 69.3, 0.74)
+    study_B: OutcomeModelSpec = _default_study(B_B, 62.1, 0.77)
     balance_set: tuple[str, ...] = ("PLNEN", "ISS", "Refr")
-    interaction: tuple[str, float] | None = None
 
     def __post_init__(self):
         # MAIC needs each balance covariate in study A's IPD and in study B's
-        # published means; the interaction modifies both studies' outcomes
+        # published means
         if not self.balance_set:
             raise ConfigError("balance_set", "must name at least one covariate")
         if len(set(self.balance_set)) != len(self.balance_set):
             raise ConfigError("balance_set", f"repeats a covariate: {self.balance_set}")
-        checks = [("balance_set", name) for name in self.balance_set]
-        if self.interaction is not None:
-            checks.append(("interaction.covariate", self.interaction[0]))
-        for path, name in checks:
-            for study, model in (("study_A", self.study_A), ("study_B", self.study_B)):
-                if name not in model.covariate_names:
-                    raise ConfigError(path, f"{name!r} is not a declared covariate "
-                                      f"of {study}")
+        for name in self.balance_set:
+            _require_declared(name, "balance_set", self.study_A, self.study_B)
+
+
+def _require_declared(name: str, path: str, study_A: OutcomeModelSpec,
+                      study_B: OutcomeModelSpec):
+    for study, model in (("study_A", study_A), ("study_B", study_B)):
+        if name not in model.covariate_names:
+            raise ConfigError(path, f"{name!r} is not a declared covariate of {study}")
 
 
 def _object(d, allowed, path: str) -> dict:
@@ -128,8 +118,10 @@ def _string(value, path: str) -> str:
 
 def _number(d: dict, key: str, default: float | None, path: str) -> float:
     value = d.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}", f"must be a number, got {value!r}")
+    # the last test is false for NaN, and exact for an integer beyond a double
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{path}.{key}", f"must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -207,42 +199,44 @@ def _integer(d: dict, key: str, default: int) -> int:
 def parse_config(document: str | dict) -> ScenarioConfig:
     """Parse and validate a JSON scenario configuration, applying the
     canonical defaults for anything omitted. An empty document yields the
-    full default parameterization."""
+    full default parameterization. An ``interaction`` is written into the
+    covariate specs of both studies."""
     if isinstance(document, str):
         document = json.loads(document) if document.strip() else {}
     d = _object(document, ("seed", "n", "study_A", "study_B", "balance_set",
                            "interaction"), "")
-    interaction = None
+    study_A = _parse_study(d.get("study_A", {}), ScenarioConfig.study_A, "study_A")
+    study_B = _parse_study(d.get("study_B", {}), ScenarioConfig.study_B, "study_B")
     if d.get("interaction") is not None:
         idict = _object(d["interaction"], ("covariate", "coefficient"), "interaction")
         for f in ("covariate", "coefficient"):
             if f not in idict:
                 raise ConfigError(f"interaction.{f}", "missing required field")
-        interaction = (_string(idict["covariate"], "interaction.covariate"),
-                       _number(idict, "coefficient", None, "interaction"))
+        name = _string(idict["covariate"], "interaction.covariate")
+        coef = _number(idict, "coefficient", None, "interaction")
+        # the interaction modifies both studies' outcomes
+        _require_declared(name, "interaction.covariate", study_A, study_B)
+        study_A = _with_interaction(study_A, name, coef)
+        study_B = _with_interaction(study_B, name, coef)
     n = _integer(d, "n", DEFAULT_N)
     if n < 2 or n % 2 != 0:
         raise ConfigError("n", f"must be a positive even integer, got {n}")
     seed = _integer(d, "seed", DEFAULT_SEED)
     if not 0 <= seed < 2**64:
         raise ConfigError("seed", f"must lie in [0, 2**64), got {seed}")
+    balance_set = _list(d.get("balance_set", list(ScenarioConfig.balance_set)),
+                        "balance_set")
     return ScenarioConfig(
         seed=seed,
         n=n,
-        study_A=_parse_study(d.get("study_A", {}), default_study_A(), "study_A"),
-        study_B=_parse_study(d.get("study_B", {}), default_study_B(), "study_B"),
-        balance_set=tuple(_string(name, "balance_set") for name in
-                          _list(d.get("balance_set", ["PLNEN", "ISS", "Refr"]),
-                                "balance_set")),
-        interaction=interaction,
+        study_A=study_A,
+        study_B=study_B,
+        balance_set=tuple(_string(name, "balance_set") for name in balance_set),
     )
 
 
-def _with_interaction(model: OutcomeModelSpec,
-                      interaction: tuple[str, float] | None) -> OutcomeModelSpec:
-    if interaction is None:
-        return model
-    name, coef = interaction
+def _with_interaction(model: OutcomeModelSpec, name: str,
+                      coef: float) -> OutcomeModelSpec:
     covariates = tuple(
         CovariateSpec(c.name, c.marginal, c.prognostic_coef, coef)
         if c.name == name else c
@@ -311,10 +305,8 @@ def simulate_studies(cfg: ScenarioConfig, stream: stochastic.RandomStream | None
     (by default a fresh stream seeded with ``cfg.seed``)."""
     if stream is None:
         stream = seed_stream(cfg.seed)
-    model_A = _with_interaction(cfg.study_A, cfg.interaction)
-    model_B = _with_interaction(cfg.study_B, cfg.interaction)
-    trial_A = _stage("simulate_A", simulate_trial, model_A, cfg.n, stream)
-    trial_B = _stage("simulate_B", simulate_trial, model_B, cfg.n, stream)
+    trial_A = _stage("simulate_A", simulate_trial, cfg.study_A, cfg.n, stream)
+    trial_B = _stage("simulate_B", simulate_trial, cfg.study_B, cfg.n, stream)
     return trial_A, trial_B
 
 
@@ -323,10 +315,8 @@ def _maic_estimate(trial_A: TrialData, summary_B: AggregateSummary, balance_set)
     and fit the weighted marginal model in study B's population."""
     names = list(balance_set)
     targets = [summary_B.mean(name) for name in names]
-    prob = balance.center_covariates(trial_A.columns(names), targets, names)
-    weights = balance.require_converged(balance.estimate_weights(prob))
+    weights, report = balance.weight_to_means(trial_A.columns(names), targets, names)
     est = estimands.marginal_effect(trial_A, weights.w, population="S2")
-    report = balance.balance_report(trial_A.columns(names), weights.w, targets, names)
     return est, weights, report
 
 
@@ -424,14 +414,15 @@ class ReplicationReport:
 def replicate_appendix(seed: int = DEFAULT_SEED, n: int = DEFAULT_N) -> ReplicationReport:
     """Run the four canonical scenarios plus the true-effect computation and
     compare every headline quantity against its reference value."""
+    cfg = parse_config({"seed": seed, "n": n})
+    seed, n = cfg.seed, cfg.n
     stream = seed_stream(seed)
-    cfg = ScenarioConfig(seed=seed, n=n)
     s1, trial_A, trial_B, summary_B = _run_core(cfg, stream)
 
     # scenarios 3 and 4: same covariates, outcomes re-simulated with an
     # age-by-treatment interaction in both studies
-    model_A3 = _with_interaction(cfg.study_A, ("Age", 0.005))
-    model_B3 = _with_interaction(cfg.study_B, ("Age", 0.005))
+    model_A3 = _with_interaction(cfg.study_A, "Age", 0.005)
+    model_B3 = _with_interaction(cfg.study_B, "Age", 0.005)
     time_A3, status_A3 = simulate_survival(
         linear_predictor(trial_A.X, trial_A.trt, model_A3), model_A3, stream)
     trial_A3 = TrialData(trial_A.covariate_names, trial_A.X, trial_A.trt,

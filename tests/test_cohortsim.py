@@ -287,3 +287,14 @@ def test_trial_data_validation():
     with pytest.raises(ValueError):
         TrialData(("a",), np.ones((3, 1)), np.array([1.0, 0.0, 2.0]),
                   np.array([1.0, 1.0, 2.0]), np.array([1.0, 1.0, 1.0]))
+
+
+def test_non_finite_values_rejected():
+    # NaN compares false with everything, so "time <= 0" let it through
+    trt, status = np.array([1.0, 0.0, 0.0]), np.ones(3)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="times"):
+            TrialData(("a",), np.ones((3, 1)), trt, np.array([1.0, bad, 2.0]), status)
+        with pytest.raises(ValueError, match="covariate values X"):
+            TrialData(("a",), np.array([[1.0], [bad], [0.0]]), trt,
+                      np.array([1.0, 3.0, 2.0]), status)

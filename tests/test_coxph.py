@@ -382,3 +382,14 @@ def test_robust_variance_requires_fit():
     assert cov.shape == (2, 2)
     assert np.all(np.diag(cov) > 0)
     np.testing.assert_allclose(cov, cov.T, atol=1e-12)
+
+
+def test_non_finite_values_rejected():
+    time, status, z = np.array([1.0, 2.0, 3.0]), np.ones(3), np.array([0.0, 1.0, 0.0])
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="times"):
+            SurvivalSample(np.array([1.0, bad, 3.0]), status, z)
+        with pytest.raises(ValueError, match="covariate values Z"):
+            SurvivalSample(time, status, np.array([0.0, bad, 0.0]))
+        with pytest.raises(ValueError, match="weights"):
+            SurvivalSample(time, status, z, np.array([1.0, bad, 1.0]))

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,18 @@ def test_empty_document_yields_appendix_defaults():
     age_B = cfg.study_B.covariates[0]
     assert isinstance(age_B.marginal, Normal) and age_B.marginal.mean == 62.1
     assert cfg.balance_set == ("PLNEN", "ISS", "Refr")
-    assert cfg.interaction is None
+    for study in (cfg.study_A, cfg.study_B):
+        assert [c.interaction_coef for c in study.covariates] == [0.0] * 4
+
+
+def test_package_exports_only_the_entry_points():
+    # submodules are attributes of the package once imported; they are not
+    # exports
+    public = {name for name, value in vars(maicsim).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == {"ScenarioConfig", "ScenarioResult", "parse_config",
+                      "replicate_appendix", "run_scenario"}
+    assert maicsim.__version__
 
 
 def test_unknown_top_level_field():
@@ -124,6 +136,12 @@ def test_invalid_parameter_reported_with_path():
              "study_A.covariates[0].prognostic_coef"),
             ({"study_A": {"treatment_log_hr": None}}, "study_A.treatment_log_hr"),
             ({"study_B": {"treatment_log_hr": True}}, "study_B.treatment_log_hr"),
+            # and every number is finite as a double
+            ({"study_A": {"treatment_log_hr": math.nan}}, "study_A.treatment_log_hr"),
+            ({"study_B": {"censoring_rate": math.inf}}, "study_B.censoring_rate"),
+            ({"study_A": {"baseline_rate": 10**400}}, "study_A.baseline_rate"),
+            ({"interaction": {"covariate": "Age", "coefficient": -math.inf}},
+             "interaction.coefficient"),
             ({"study_A": {"covariates": [{"name": "x", "dist": {
                 "kind": "bernoulli", "p": True}}]}}, "study_A.covariates[0].dist.p"),
             ({"interaction": {"covariate": "Age", "coefficient": "x"}},
@@ -167,9 +185,19 @@ def test_odd_n_rejected():
     assert parse_config('{"n": 2000.0}').n == 2000
 
 
+def test_replicate_appendix_arguments_checked_when_parsed():
+    # these used to fail only in the simulate stage
+    for kwargs, path in (({"n": 3}, "n"), ({"n": -4}, "n"), ({"seed": -1}, "seed")):
+        with pytest.raises(ConfigError) as info:
+            replicate_appendix(**kwargs)
+        assert info.value.path == path
+
+
 def test_interaction_parsing():
     cfg = parse_config('{"interaction": {"covariate": "Age", "coefficient": 0.005}}')
-    assert cfg.interaction == ("Age", 0.005)
+    # written into both studies' specs, which is all the simulator reads
+    for study in (cfg.study_A, cfg.study_B):
+        assert [c.interaction_coef for c in study.covariates] == [0.005, 0, 0, 0]
 
 
 def test_scenario_internal_consistency():
@@ -338,30 +366,74 @@ def test_cli_input_failures_are_one_line_messages(tmp_path: Path):
     good.write_text("subject_id,x,trt,time,status\n0,1,0,1.5,1\n1,0,1,2.5,1\n")
     targets = tmp_path / "targets.json"
     targets.write_text('{"Nope": 1.0}')
+    x_targets = tmp_path / "x_targets.json"
+    x_targets.write_text('{"x": 0.5}')
+    weights = tmp_path / "weights.csv"
+    weights.write_text("weight\n1\n1\n")
     missing = str(tmp_path / "missing")
+
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    # (argv, a fragment the message must hold)
+    cases = [(["scenario", "--config", str(config)], "n: must be a positive even"),
+             (["fit", "--data", str(data)], ""),
+             # a covariate the CSV lacks (KeyError)
+             (["fit", "--data", str(good), "--adjust", "Nope"], "Nope"),
+             (["weights", "--ipd", str(good), "--targets", str(targets),
+               "--balance-set", "Nope"], "Nope"),
+             # input files that do not exist (OSError)
+             (["fit", "--data", missing], ""),
+             (["weights", "--ipd", missing, "--targets", str(targets),
+               "--balance-set", "Nope"], ""),
+             (["weights", "--ipd", str(good), "--targets", missing,
+               "--balance-set", "Nope"], ""),
+             (["simulate", "--config", missing, "--out", str(tmp_path / "out")], ""),
+             (["scenario", "--config", missing], ""),
+             # a target the file lacks, and weights with adjustment
+             (["weights", "--ipd", str(good), "--targets", str(x_targets),
+               "--balance-set", "x,Nope"], "no target mean for covariate(s): Nope"),
+             (["fit", "--data", str(good), "--weights", str(weights),
+               "--adjust", "x"], "not supported"),
+             # --seed and --n are checked when the config is parsed
+             (["replicate-appendix", "--n", "3"], "n: must be a positive even"),
+             (["replicate-appendix", "--n", "-4"], "n: must be a positive even"),
+             (["replicate-appendix", "--seed", "-1"], "seed: must lie in")]
+    # non-finite times, covariates and weights
+    for bad in ("inf", "nan"):
+        csv = write(f"time_{bad}.csv", "subject_id,x,trt,time,status\n"
+                    f"0,1,0,{bad},1\n1,0,1,2.5,1\n")
+        cases.append((["fit", "--data", csv], "times must be finite"))
+        csv = write(f"x_{bad}.csv", "subject_id,x,trt,time,status\n"
+                    f"0,{bad},0,1.5,1\n1,0,1,2.5,1\n")
+        cases.append((["fit", "--data", csv, "--adjust", "x"], "values X must be finite"))
+        cases.append((["weights", "--ipd", csv, "--targets", str(x_targets),
+                       "--balance-set", "x"], "values X must be finite"))
+        w = write(f"w_{bad}.csv", f"weight\n1\n{bad}\n")
+        cases.append((["fit", "--data", str(good), "--weights", w],
+                      "weights must be finite"))
+    # each target must be a finite JSON number in a JSON object
+    for i, text in enumerate(('{"x": null}', '{"x": true}', '{"x": NaN}',
+                              '{"x": Infinity}', '{"x": "0.5"}', '{"x": 1e400}')):
+        t = write(f"targets_{i}.json", text)
+        cases.append((["weights", "--ipd", str(good), "--targets", t,
+                       "--balance-set", "x"], "targets.x: must be a finite number"))
+    cases.append((["weights", "--ipd", str(good), "--targets",
+                   write("targets_list.json", "[0.5]"), "--balance-set", "x"],
+                  "targets must be a JSON object"))
     src = str(Path(maicsim.__file__).parent.parent)
-    for argv in (["scenario", "--config", str(config)],
-                 ["fit", "--data", str(data)],
-                 # a covariate the CSV lacks (KeyError)
-                 ["fit", "--data", str(good), "--adjust", "Nope"],
-                 ["weights", "--ipd", str(good), "--targets", str(targets),
-                  "--balance-set", "Nope"],
-                 # input files that do not exist (OSError)
-                 ["fit", "--data", missing],
-                 ["weights", "--ipd", missing, "--targets", str(targets),
-                  "--balance-set", "Nope"],
-                 ["weights", "--ipd", str(good), "--targets", missing,
-                  "--balance-set", "Nope"],
-                 ["simulate", "--config", missing, "--out", str(tmp_path / "out")],
-                 ["scenario", "--config", missing]):
+    for argv, fragment in cases:
         proc = subprocess.run([sys.executable, "-m", "maicsim.cli", *argv],
                               capture_output=True, text=True,
                               env={"PYTHONPATH": src}, timeout=120)
         assert proc.returncode == 1, (argv, proc.stderr)
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith(f"maicsim {argv[0]}: ")
+        assert proc.stderr.startswith(f"maicsim {argv[0]}: "), proc.stderr
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert "\"" not in proc.stderr, proc.stderr
+        assert fragment in proc.stderr, (argv, proc.stderr)
 
 
 def test_cli_simulate_weights_fit(tmp_path: Path, capsys):
