@@ -30,8 +30,7 @@ class WeightsNotConverged(Exception):
 
 @dataclass(frozen=True)
 class BalanceProblem:
-    Xc: np.ndarray                      # n x K, centered on target means
-    covariate_names: tuple[str, ...]
+    Xc: np.ndarray      # n x K, centered on target means
 
     @property
     def n(self) -> int:
@@ -52,18 +51,13 @@ class MaicWeights:
     iterations: int
 
 
-def center_covariates(X_ipd: np.ndarray, target_means, names=None) -> BalanceProblem:
+def center_covariates(X_ipd: np.ndarray, target_means) -> BalanceProblem:
     X_ipd = np.atleast_2d(np.asarray(X_ipd, dtype=float))
     target = np.asarray(target_means, dtype=float).ravel()
     if X_ipd.shape[1] != target.shape[0]:
         raise ValueError(
             f"{X_ipd.shape[1]} covariate columns but {target.shape[0]} target means")
-    if names is None:
-        names = tuple(f"x{k + 1}" for k in range(X_ipd.shape[1]))
-    names = tuple(names)
-    if len(names) != X_ipd.shape[1]:
-        raise ValueError("covariate names do not match column count")
-    return BalanceProblem(X_ipd - target, names)
+    return BalanceProblem(X_ipd - target)
 
 
 def objective_and_gradient(alpha: np.ndarray, prob: BalanceProblem):
@@ -128,8 +122,8 @@ def require_converged(weights: MaicWeights) -> MaicWeights:
 
 def effective_sample_size(w: np.ndarray) -> float:
     w = np.asarray(w, dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("all weights must be positive")
+    if not np.all((w > 0) & (w < np.inf)):
+        raise ValueError("all weights must be finite and positive")
     return float(w.sum() ** 2 / (w**2).sum())
 
 
@@ -158,12 +152,12 @@ class BalanceReport:
 
 
 def balance_report(X_ipd: np.ndarray, w: np.ndarray, target_means,
-                   names=None) -> BalanceReport:
+                   names) -> BalanceReport:
     X_ipd = np.atleast_2d(np.asarray(X_ipd, dtype=float))
     target = np.asarray(target_means, dtype=float).ravel()
     w = np.asarray(w, dtype=float)
-    if names is None:
-        names = tuple(f"x{k + 1}" for k in range(X_ipd.shape[1]))
+    if len(names) != X_ipd.shape[1]:
+        raise ValueError("covariate names do not match column count")
     weighted = (w[:, None] * X_ipd).sum(axis=0) / w.sum()
     ess = effective_sample_size(w)
     return BalanceReport(
@@ -183,5 +177,5 @@ def weight_to_means(X_ipd: np.ndarray, target_means,
     columns to ``target_means``, refused unless Newton converged, and the
     balance they reach."""
     weights = require_converged(estimate_weights(
-        center_covariates(X_ipd, target_means, names)))
+        center_covariates(X_ipd, target_means)))
     return weights, balance_report(X_ipd, weights.w, target_means, names)

@@ -37,7 +37,7 @@ def _cmd_weights(args) -> int:
     targets = json.loads(Path(args.targets).read_text())
     if not isinstance(targets, dict):
         raise ValueError(f"targets must be a JSON object, got {targets!r}")
-    names = [s for s in args.balance_set.split(",") if s]
+    names = harness._name_list(args.balance_set.split(","), "--balance-set")
     missing = [nm for nm in names if nm not in targets]
     if missing:
         raise ValueError(f"no target mean for covariate(s): {', '.join(missing)}")
@@ -53,7 +53,7 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    if args.adjust and args.weights:
+    if args.adjust is not None and args.weights:
         raise ValueError("covariate adjustment with weights is not supported; "
                          "use one or the other")
     trial = cohortsim.trial_from_csv(Path(args.data).read_text())
@@ -64,8 +64,8 @@ def _cmd_fit(args) -> int:
         if data.readline().strip() != b"weight":
             data.seek(0)
         weights = np.loadtxt(data, comments=None, ndmin=1)
-    if args.adjust:
-        names = [s for s in args.adjust.split(",") if s]
+    if args.adjust is not None:
+        names = harness._name_list(args.adjust.split(","), "--adjust")
         est = estimands.conditional_effect(trial, names)
     else:
         est = estimands.marginal_effect(trial, weights)

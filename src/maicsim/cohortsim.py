@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .coxph import SurvivalSample, fit_cox, require_converged, time_order
-from .stochastic import DistributionSpec, Exponential, RandomStream, draw_variates
+from .stochastic import DistributionSpec, RandomStream, draw_variates, exponential_inverse
 
 _NON_SPACE = re.compile(r"\S")
 
@@ -136,18 +136,13 @@ def linear_predictor(X: np.ndarray, trt: np.ndarray, model: OutcomeModelSpec) ->
     return X @ b + (model.treatment_log_hr + X @ b_int) * trt
 
 
-def latent_event_times(u: np.ndarray, lp: np.ndarray, rate: float) -> np.ndarray:
-    """Exponential proportional-hazards inversion: -ln(U) / (rate * exp(LP))."""
-    return -np.log(u) / (rate * np.exp(lp))
-
-
 def simulate_survival(lp: np.ndarray, model: OutcomeModelSpec, stream: RandomStream):
     lp = np.asarray(lp, dtype=float)
     n = lp.shape[0]
-    tlat = latent_event_times(stream.uniforms(n), lp, model.baseline_rate)
+    tlat = exponential_inverse(stream.uniforms(n), model.baseline_rate * np.exp(lp))
     if model.censoring_rate == 0:
         return tlat, np.ones(n)
-    cens = draw_variates(stream, Exponential(model.censoring_rate), n)
+    cens = exponential_inverse(stream.uniforms(n), model.censoring_rate)
     time = np.minimum(tlat, cens)
     status = (tlat <= cens).astype(float)
     return time, status
@@ -158,9 +153,14 @@ def simulate_trial(model: OutcomeModelSpec, n: int, stream: RandomStream) -> Tri
     if n % 2 != 0:
         raise ValueError(f"n must be even for 1:1 allocation, got {n}")
     trt = np.concatenate([np.ones(n // 2), np.zeros(n - n // 2)])
-    X = simulate_covariates(model.covariates, n, stream)
-    lp = linear_predictor(X, trt, model)
-    time, status = simulate_survival(lp, model, stream)
+    return with_outcomes(model, simulate_covariates(model.covariates, n, stream),
+                         trt, stream)
+
+
+def with_outcomes(model: OutcomeModelSpec, X: np.ndarray, trt: np.ndarray,
+                  stream: RandomStream) -> TrialData:
+    """Subjects X in arms trt, with outcomes under ``model`` drawn from ``stream``."""
+    time, status = simulate_survival(linear_predictor(X, trt, model), model, stream)
     return TrialData(model.covariate_names, X, trt, time, status)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import balance, estimands, stochastic
 from .cohortsim import (
@@ -25,13 +25,12 @@ from .cohortsim import (
     CovariateSpec,
     OutcomeModelSpec,
     TrialData,
-    linear_predictor,
-    simulate_survival,
     simulate_trial,
     summarize_aggregate,
+    with_outcomes,
 )
 from .estimands import MARGINAL, EffectEstimate, IndirectComparison
-from .stochastic import Bernoulli, DistributionSpec, Normal, Poisson, seed_stream
+from .stochastic import Bernoulli, DistributionSpec, Normal, Poisson, RandomStream
 
 DEFAULT_SEED = 555
 DEFAULT_N = 100_000
@@ -79,12 +78,18 @@ class ScenarioConfig:
     def __post_init__(self):
         # MAIC needs each balance covariate in study A's IPD and in study B's
         # published means
-        if not self.balance_set:
-            raise ConfigError("balance_set", "must name at least one covariate")
-        if len(set(self.balance_set)) != len(self.balance_set):
-            raise ConfigError("balance_set", f"repeats a covariate: {self.balance_set}")
-        for name in self.balance_set:
+        for name in _name_list(self.balance_set, "balance_set"):
             _require_declared(name, "balance_set", self.study_A, self.study_B)
+
+
+def _name_list(names, path: str) -> tuple[str, ...]:
+    """``names`` as a tuple, if it names at least one covariate, none twice
+    and none empty: the rule for ``balance_set`` and the CLI's name lists."""
+    names = tuple(names)
+    if not names or "" in names or len(set(names)) != len(names):
+        raise ConfigError(path, "must name at least one covariate, none twice "
+                          f"and none empty; got {names}")
+    return names
 
 
 def _require_declared(name: str, path: str, study_A: OutcomeModelSpec,
@@ -237,13 +242,9 @@ def parse_config(document: str | dict) -> ScenarioConfig:
 
 def _with_interaction(model: OutcomeModelSpec, name: str,
                       coef: float) -> OutcomeModelSpec:
-    covariates = tuple(
-        CovariateSpec(c.name, c.marginal, c.prognostic_coef, coef)
-        if c.name == name else c
-        for c in model.covariates
-    )
-    return OutcomeModelSpec(model.treatment_log_hr, model.baseline_rate,
-                            model.censoring_rate, covariates)
+    return replace(model, covariates=tuple(
+        replace(c, interaction_coef=coef) if c.name == name else c
+        for c in model.covariates))
 
 
 def _prognostic_set(model: OutcomeModelSpec) -> list[str]:
@@ -299,12 +300,12 @@ def _stage(name, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
-def simulate_studies(cfg: ScenarioConfig, stream: stochastic.RandomStream | None = None
+def simulate_studies(cfg: ScenarioConfig, stream: RandomStream | None = None
                      ) -> tuple[TrialData, TrialData]:
     """Study A's and then study B's IPD under ``cfg``, drawn from ``stream``
     (by default a fresh stream seeded with ``cfg.seed``)."""
     if stream is None:
-        stream = seed_stream(cfg.seed)
+        stream = RandomStream(cfg.seed)
     trial_A = _stage("simulate_A", simulate_trial, cfg.study_A, cfg.n, stream)
     trial_B = _stage("simulate_B", simulate_trial, cfg.study_B, cfg.n, stream)
     return trial_A, trial_B
@@ -320,7 +321,7 @@ def _maic_estimate(trial_A: TrialData, summary_B: AggregateSummary, balance_set)
     return est, weights, report
 
 
-def _run_core(cfg: ScenarioConfig, stream: stochastic.RandomStream):
+def _run_core(cfg: ScenarioConfig, stream: RandomStream):
     """simulate -> summarize B -> fit -> weight A to B's means -> compare.
 
     Returns the result with the two trials and study B's summary, for
@@ -355,7 +356,7 @@ def _run_core(cfg: ScenarioConfig, stream: stochastic.RandomStream):
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """One scenario on a fresh stream seeded with ``cfg.seed``."""
-    return _run_core(cfg, seed_stream(cfg.seed))[0]
+    return _run_core(cfg, RandomStream(cfg.seed))[0]
 
 
 TRUE_MARGINAL_LOG_HR = math.log(0.76)
@@ -416,21 +417,17 @@ def replicate_appendix(seed: int = DEFAULT_SEED, n: int = DEFAULT_N) -> Replicat
     compare every headline quantity against its reference value."""
     cfg = parse_config({"seed": seed, "n": n})
     seed, n = cfg.seed, cfg.n
-    stream = seed_stream(seed)
+    stream = RandomStream(seed)
     s1, trial_A, trial_B, summary_B = _run_core(cfg, stream)
 
     # scenarios 3 and 4: same covariates, outcomes re-simulated with an
     # age-by-treatment interaction in both studies
-    model_A3 = _with_interaction(cfg.study_A, "Age", 0.005)
-    model_B3 = _with_interaction(cfg.study_B, "Age", 0.005)
-    time_A3, status_A3 = simulate_survival(
-        linear_predictor(trial_A.X, trial_A.trt, model_A3), model_A3, stream)
-    trial_A3 = TrialData(trial_A.covariate_names, trial_A.X, trial_A.trt,
-                         time_A3, status_A3)
+    trial_A3 = with_outcomes(_with_interaction(cfg.study_A, "Age", 0.005),
+                             trial_A.X, trial_A.trt, stream)
     # study B's outcomes under the interaction are unused; the draw keeps
     # the order of the stream
-    simulate_survival(linear_predictor(trial_B.X, trial_B.trt, model_B3),
-                      model_B3, stream)
+    with_outcomes(_with_interaction(cfg.study_B, "Age", 0.005),
+                  trial_B.X, trial_B.trt, stream)
 
     # scenarios 2-4 as (study-A trial, balance set), each weighted to
     # scenario 1's study-B summary
@@ -443,12 +440,8 @@ def replicate_appendix(seed: int = DEFAULT_SEED, n: int = DEFAULT_N) -> Replicat
 
     # simulation-based true marginal effects of the A-vs-C model in each
     # study population
-    model_A = cfg.study_A
-    model_A_in_S2 = OutcomeModelSpec(model_A.treatment_log_hr,
-                                     model_A.baseline_rate,
-                                     model_A.censoring_rate,
-                                     cfg.study_B.covariates)
-    true_S1 = estimands.simulated_marginal_loghr(model_A, n, stream)
+    model_A_in_S2 = replace(cfg.study_A, covariates=cfg.study_B.covariates)
+    true_S1 = estimands.simulated_marginal_loghr(cfg.study_A, n, stream)
     true_S2 = estimands.simulated_marginal_loghr(model_A_in_S2, n, stream)
 
     maic1, marginal_AC = s1.maic_AC_S2, s1.marginal_AC_S1

@@ -38,13 +38,6 @@ class RandomStream:
         self.draw_count += int(n)
         return np.minimum((k + 0.5) * 2.0**-53, _BELOW_ONE)
 
-    def uniform(self) -> float:
-        return float(self.uniforms(1)[0])
-
-
-def seed_stream(seed: int) -> RandomStream:
-    return RandomStream(seed)
-
 
 @dataclass(frozen=True)
 class Uniform01:
@@ -94,21 +87,22 @@ class Exponential:
 DistributionSpec = Union[Uniform01, Normal, Poisson, Bernoulli, Exponential]
 
 
-def exponential_inverse(u, rate: float):
-    """Inverse-CDF transform: quantile of Exponential(rate) at 1 - u."""
+def exponential_inverse(u, rate):
+    """Inverse-CDF transform: quantile of Exponential(rate) at 1 - u, where
+    ``rate`` is one rate or one per u."""
     return -np.log(u) / rate
 
 
 # Cephes ``ndtri`` (S. L. Moshier, *Methods and Programs for Mathematical
 # Functions*, 1989), the algorithm of scipy.special.ndtri: three rational
-# approximations P(x) / Q(x), highest power first, Q's leading 1 omitted.
+# approximations P(x) / Q(x), highest power first.
 _EXP_M2 = 0.13533528323661269189  # exp(-2)
 _SQRT_2PI = 2.50662827463100050242
 # e^-2 < y <= 1 - e^-2, in (y - 0.5)**2
 _P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
        -5.66762857469070293439E1, 1.39312609387279679503E1,
        -1.23916583867381258016E0)
-_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0,
        8.63602421390890590575E1, -2.25462687854119370527E2,
        2.00260212380060660359E2, -8.20372256168333339912E1,
        1.59056225126211695515E1, -1.18331621121330003142E0)
@@ -118,7 +112,7 @@ _P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
        1.46849561928858024014E1, 2.18663306850790267539E0,
        -1.40256079171354495875E-1, -3.50424626827848203418E-2,
        -8.57456785154685413611E-4)
-_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1,
        4.13172038254672030440E1, 1.50425385692907503408E1,
        2.50464946208309415979E0, -1.42182922854787788574E-1,
        -3.80806407691578277194E-2, -9.33259480895457427372E-4)
@@ -128,7 +122,7 @@ _P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
        2.01485389549179081538E-1, 1.23716634817820021358E-2,
        3.01581553508235416007E-4, 2.65806974686737550832E-6,
        6.23974539184983293730E-9)
-_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0,
        1.37702099489081330271E0, 2.16236993594496635890E-1,
        1.34204006088543189037E-2, 3.28014464682127739104E-4,
        2.89247864745380683936E-6, 6.79019408009981274425E-9)
@@ -141,15 +135,6 @@ def _polevl(x: np.ndarray, coef) -> np.ndarray:
         acc += c
         acc *= x
     acc += coef[-1]
-    return acc
-
-
-def _p1evl(x: np.ndarray, coef) -> np.ndarray:
-    """As ``_polevl``, with a leading coefficient of 1 that ``coef`` omits."""
-    acc = x + coef[0]
-    for c in coef[1:]:
-        acc *= x
-        acc += c
     return acc
 
 
@@ -167,16 +152,16 @@ def ndtri(y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     c = y - 0.5
     c2 = c * c
-    x = (c + c * ((c2 * _polevl(c2, _P0)) / _p1evl(c2, _Q0))) * _SQRT_2PI
+    x = (c + c * ((c2 * _polevl(c2, _P0)) / _polevl(c2, _Q0))) * _SQRT_2PI
     tails = np.flatnonzero((y <= _EXP_M2) | (y > 1.0 - _EXP_M2))
     # in min(y, 1 - y): no y above 1 - e^-2 has 1 - y above e^-2
     s = y[tails]
     s = np.sqrt(-2.0 * np.log(np.minimum(s, 1.0 - s)))
     z = 1.0 / s
-    p, q = _polevl(z, _P1), _p1evl(z, _Q1)
+    p, q = _polevl(z, _P1), _polevl(z, _Q1)
     far = s >= 8.0
     if far.any():
-        p[far], q[far] = _polevl(z[far], _P2), _p1evl(z[far], _Q2)
+        p[far], q[far] = _polevl(z[far], _P2), _polevl(z[far], _Q2)
     # the tail value is positive; c < 0 in the lower tail
     x[tails] = np.copysign((s - np.log(s) / s) - (z * p) / q, c[tails])
     return x

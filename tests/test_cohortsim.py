@@ -11,7 +11,6 @@ from maicsim.cohortsim import (
     CovariateSpec,
     OutcomeModelSpec,
     TrialData,
-    latent_event_times,
     linear_predictor,
     simulate_covariates,
     simulate_survival,
@@ -19,19 +18,20 @@ from maicsim.cohortsim import (
     summarize_aggregate,
     trial_from_csv,
     trial_to_csv,
+    with_outcomes,
 )
 from maicsim.estimands import marginal_effect
-from maicsim.stochastic import Bernoulli, Normal, Poisson, seed_stream
+from maicsim.stochastic import Bernoulli, Normal, Poisson, RandomStream
 
 from helpers import B_A, CENS_RATE, RATE, study_A_covariates, study_A_model
 
 
 def small_trial(seed=3, n=400):
-    return simulate_trial(study_A_model(), n, seed_stream(seed))
+    return simulate_trial(study_A_model(), n, RandomStream(seed))
 
 
 def test_study_A_covariate_means():
-    X = simulate_covariates(study_A_covariates(), 10**5, seed_stream(555))
+    X = simulate_covariates(study_A_covariates(), 10**5, RandomStream(555))
     means = X.mean(axis=0)
     assert means[0] == pytest.approx(69.3, abs=0.05)
     assert means[1] == pytest.approx(3.4, abs=0.05)
@@ -40,19 +40,19 @@ def test_study_A_covariate_means():
 
 
 def test_single_subject_shape():
-    X = simulate_covariates(study_A_covariates(), 1, seed_stream(0))
+    X = simulate_covariates(study_A_covariates(), 1, RandomStream(0))
     assert X.shape == (1, 4)
 
 
 def test_degenerate_bernoulli_all_ones():
-    X = simulate_covariates([CovariateSpec("c", Bernoulli(1.0))], 500, seed_stream(0))
+    X = simulate_covariates([CovariateSpec("c", Bernoulli(1.0))], 500, RandomStream(0))
     assert np.all(X == 1.0)
 
 
 def test_duplicate_names_rejected():
     specs = [CovariateSpec("a", Bernoulli(0.5)), CovariateSpec("a", Bernoulli(0.5))]
     with pytest.raises(ValueError):
-        simulate_covariates(specs, 10, seed_stream(0))
+        simulate_covariates(specs, 10, RandomStream(0))
 
 
 def test_linear_predictor_zero_model():
@@ -92,14 +92,9 @@ def test_linear_predictor_dimension_mismatch():
         linear_predictor(np.zeros((5, 2)), np.zeros(5), study_A_model())
 
 
-def test_latent_time_inverse_transform():
-    assert latent_event_times(np.array([0.5]), np.array([0.0]), 1.0)[0] == \
-        pytest.approx(math.log(2), abs=1e-12)
-
-
 def test_mean_latent_time():
     model = study_A_model(censoring_rate=0.0)
-    time, status = simulate_survival(np.zeros(10**6), model, seed_stream(21))
+    time, status = simulate_survival(np.zeros(10**6), model, RandomStream(21))
     assert np.all(status == 1)
     assert time.mean() == pytest.approx(730.0, abs=3.0)
 
@@ -107,14 +102,14 @@ def test_mean_latent_time():
 def test_censored_fraction_competing_exponentials():
     # P(censor first) = cens / (cens + event) = 1/6 at LP = 0
     model = study_A_model()
-    _, status = simulate_survival(np.zeros(10**6), model, seed_stream(22))
+    _, status = simulate_survival(np.zeros(10**6), model, RandomStream(22))
     assert (status == 0).mean() == pytest.approx(1 / 6, abs=0.002)
 
 
 def test_censored_fraction_by_lp_stratum():
     model = study_A_model()
     for lp in (0.0, 1.0):
-        _, status = simulate_survival(np.full(2 * 10**5, lp), model, seed_stream(23))
+        _, status = simulate_survival(np.full(2 * 10**5, lp), model, RandomStream(23))
         expected = CENS_RATE / (CENS_RATE + RATE * math.exp(lp))
         se = math.sqrt(expected * (1 - expected) / status.size)
         assert abs((status == 0).mean() - expected) < 4 * se
@@ -123,39 +118,53 @@ def test_censored_fraction_by_lp_stratum():
 def test_conditional_survival_law_ks():
     lp = 0.3
     model = study_A_model(censoring_rate=0.0)
-    time, _ = simulate_survival(np.full(10**5, lp), model, seed_stream(24))
+    time, _ = simulate_survival(np.full(10**5, lp), model, RandomStream(24))
     scale = 1.0 / (RATE * math.exp(lp))
     assert stats.kstest(time, "expon", args=(0, scale)).pvalue > 0.001
 
 
 def test_trial_allocation():
-    trial = simulate_trial(study_A_model(), 10**5, seed_stream(555))
+    trial = simulate_trial(study_A_model(), 10**5, RandomStream(555))
     assert trial.trt.sum() == 5 * 10**4
     assert trial.n == 10**5
     assert np.all(trial.trt[: 5 * 10**4] == 1)
 
 
 def test_trial_minimal_n():
-    trial = simulate_trial(study_A_model(), 2, seed_stream(0))
+    trial = simulate_trial(study_A_model(), 2, RandomStream(0))
     assert trial.trt.tolist() == [1.0, 0.0]
+
+
+def test_trial_is_covariates_then_outcomes():
+    # simulate_trial is exactly the covariate draw followed by with_outcomes
+    model = study_A_model()
+    first, second = RandomStream(8), RandomStream(8)
+    trial = simulate_trial(model, 1000, first)
+    X = simulate_covariates(model.covariates, 1000, second)
+    again = with_outcomes(model, X, trial.trt, second)
+    assert again.covariate_names == trial.covariate_names
+    for a, b in ((again.X, trial.X), (again.trt, trial.trt),
+                 (again.time, trial.time), (again.status, trial.status)):
+        assert np.array_equal(a, b)
+    assert second.draw_count == first.draw_count
 
 
 def test_trial_odd_n_rejected():
     with pytest.raises(ValueError):
-        simulate_trial(study_A_model(), 11, seed_stream(0))
+        simulate_trial(study_A_model(), 11, RandomStream(0))
 
 
 def test_exchangeable_arms_without_treatment_effect():
     # covariate-free null model: the two arms' event times share a law
     model = OutcomeModelSpec(0.0, RATE, 0.0, ())
-    trial = simulate_trial(model, 2 * 10**4, seed_stream(31))
+    trial = simulate_trial(model, 2 * 10**4, RandomStream(31))
     treated = trial.time[trial.trt == 1]
     control = trial.time[trial.trt == 0]
     assert stats.ks_2samp(treated, control).pvalue > 0.001
 
 
 def test_randomization_balance():
-    trial = simulate_trial(study_A_model(), 10**5, seed_stream(32))
+    trial = simulate_trial(study_A_model(), 10**5, RandomStream(32))
     t, c = trial.trt == 1, trial.trt == 0
     for k in range(trial.X.shape[1]):
         col = trial.X[:, k]
@@ -176,13 +185,13 @@ def test_summarize_aggregate_means_and_loghr():
 def test_summarize_constant_covariate_exact():
     covs = (CovariateSpec("c", Bernoulli(1.0)),)
     model = OutcomeModelSpec(0.0, RATE, 0.0, covs)
-    trial = simulate_trial(model, 200, seed_stream(4))
+    trial = simulate_trial(model, 200, RandomStream(4))
     assert summarize_aggregate(trial).mean("c") == 1.0
 
 
 def test_study_B_age_mean():
     covs = (CovariateSpec("Age", Normal(62.1, 5.0)),)
-    X = simulate_covariates(covs, 10**5, seed_stream(42))
+    X = simulate_covariates(covs, 10**5, RandomStream(42))
     assert X[:, 0].mean() == pytest.approx(62.1, abs=0.05)
 
 

@@ -18,7 +18,7 @@ from maicsim.coxph import (
     score_residuals,
     time_order,
 )
-from maicsim.stochastic import seed_stream
+from maicsim.stochastic import RandomStream
 
 from helpers import study_A_model
 
@@ -291,7 +291,7 @@ def test_loglik_never_below_null():
 
 
 def test_multivariable_recovers_true_coefficients():
-    trial = simulate_trial(study_A_model(), 10**5, seed_stream(77))
+    trial = simulate_trial(study_A_model(), 10**5, RandomStream(77))
     Z = np.column_stack([trial.trt, trial.columns(["PLNEN", "ISS", "Refr"])])
     fit = fit_cox(SurvivalSample(trial.time, trial.status, Z))
     truth = np.array([math.log(0.53), 1.0682, -0.6651, 0.0825])
@@ -307,7 +307,7 @@ def test_score_residuals_sum_to_zero_at_optimum():
 
 
 def test_robust_matches_model_se_when_correctly_specified():
-    trial = simulate_trial(study_A_model(censoring_rate=0.0), 10**4, seed_stream(14))
+    trial = simulate_trial(study_A_model(censoring_rate=0.0), 10**4, RandomStream(14))
     Z = np.column_stack([trial.trt, trial.columns(["PLNEN", "ISS", "Refr"])])
     fit = fit_cox(SurvivalSample(trial.time, trial.status, Z))
     ratio = fit.se_robust / fit.se_model

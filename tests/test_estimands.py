@@ -16,7 +16,7 @@ from maicsim.estimands import (
     marginal_effect,
     simulated_marginal_loghr,
 )
-from maicsim.stochastic import Bernoulli, seed_stream
+from maicsim.stochastic import Bernoulli, RandomStream
 
 from helpers import CENS_RATE, RATE, study_A_model
 
@@ -76,7 +76,7 @@ def test_unknown_scale_rejected():
 
 
 def test_marginal_effect_all_equal_weights_matches_unweighted():
-    trial = simulate_trial(study_A_model(), 2000, seed_stream(1))
+    trial = simulate_trial(study_A_model(), 2000, RandomStream(1))
     plain = marginal_effect(trial)
     weighted = marginal_effect(trial, np.full(trial.n, 3.0))
     assert weighted.log_hr == pytest.approx(plain.log_hr, abs=1e-8)
@@ -84,7 +84,7 @@ def test_marginal_effect_all_equal_weights_matches_unweighted():
 
 
 def test_conditional_empty_adjustment_equals_marginal():
-    trial = simulate_trial(study_A_model(), 2000, seed_stream(2))
+    trial = simulate_trial(study_A_model(), 2000, RandomStream(2))
     cond = conditional_effect(trial, [])
     marg = marginal_effect(trial)
     assert cond.log_hr == marg.log_hr
@@ -93,7 +93,7 @@ def test_conditional_empty_adjustment_equals_marginal():
 
 
 def test_conditional_records_scale():
-    trial = simulate_trial(study_A_model(), 2000, seed_stream(3))
+    trial = simulate_trial(study_A_model(), 2000, RandomStream(3))
     cond = conditional_effect(trial, ["PLNEN", "ISS", "Refr"])
     assert cond.scale == CONDITIONAL
 
@@ -102,7 +102,7 @@ def test_collapsible_degenerate_case():
     # without prognostic covariates the hazard ratio collapses
     covs = (CovariateSpec("b", Bernoulli(0.5)),)
     model = OutcomeModelSpec(math.log(0.7), RATE, CENS_RATE, covs)
-    trial = simulate_trial(model, 2 * 10**4, seed_stream(4))
+    trial = simulate_trial(model, 2 * 10**4, RandomStream(4))
     marg = marginal_effect(trial)
     cond = conditional_effect(trial, ["b"])
     combined = math.sqrt(marg.se**2 + cond.se**2)
@@ -111,5 +111,5 @@ def test_collapsible_degenerate_case():
 
 def test_true_marginal_effect_without_prognostic_covariates():
     model = OutcomeModelSpec(-0.3, RATE, 0.0, ())
-    value = simulated_marginal_loghr(model, 10**5, seed_stream(5))
+    value = simulated_marginal_loghr(model, 10**5, RandomStream(5))
     assert value == pytest.approx(-0.3, abs=0.03)

@@ -3,11 +3,14 @@ import json
 import math
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import maicsim
 from maicsim import balance, cli, coxph, newton
@@ -228,6 +231,63 @@ def test_scenario_without_censoring_completes():
     assert np.isfinite(result.maic_AC_S2.log_hr)
 
 
+def _covariate(name, dist, coef=1.0):
+    return st.fixed_dictionaries({"name": st.just(name), "dist": dist,
+                                  "prognostic_coef": st.floats(-coef, coef)})
+
+
+def _study(age_mean):
+    """A study over the default covariates with every parameter drawn."""
+    bernoulli = st.fixed_dictionaries({"kind": st.just("bernoulli"),
+                                       "p": st.floats(0.05, 0.95)})
+    return st.fixed_dictionaries({
+        "treatment_log_hr": st.floats(-1.0, 1.0),
+        "baseline_rate": st.floats(5e-4, 1e-2),
+        "censoring_rate": st.floats(0.0, 2e-3),
+        "covariates": st.tuples(
+            _covariate("Age", st.fixed_dictionaries({
+                "kind": st.just("normal"), "sd": st.floats(1.0, 10.0),
+                "mean": st.floats(age_mean - 10, age_mean + 10)}), coef=0.05),
+            _covariate("PLNEN", st.fixed_dictionaries({
+                "kind": st.just("poisson"), "lam": st.floats(0.5, 8.0)})),
+            _covariate("ISS", bernoulli),
+            _covariate("Refr", bernoulli)).map(list),
+    })
+
+
+NAMES = ("Age", "PLNEN", "ISS", "Refr")
+CONFIGS = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**64 - 1),
+    "n": st.integers(50, 500).map(lambda k: 2 * k),
+    "study_A": _study(69.3),
+    "study_B": _study(62.1),
+    "balance_set": st.lists(st.sampled_from(NAMES), min_size=1, max_size=4, unique=True),
+}, optional={"interaction": st.fixed_dictionaries({
+    "covariate": st.sampled_from(NAMES), "coefficient": st.floats(-0.05, 0.05)})})
+
+
+def _no_constant(token):
+    raise AssertionError(f"non-finite number {token} in the scenario JSON")
+
+
+@given(CONFIGS)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_parsed_configs_give_finite_numbers_or_a_stage_error(doc):
+    # about two thirds of these examples complete; the rest fail in the
+    # weights stage (study B's Age mean outside study A's range) or in a fit
+    # that a covariate separates
+    cfg = parse_config(doc)
+    start = time.perf_counter()
+    try:
+        result = run_scenario(cfg)
+    except StageError:
+        pass
+    else:
+        # json.loads hands NaN, Infinity and -Infinity to parse_constant
+        json.loads(result.to_json(), parse_constant=_no_constant)
+    assert time.perf_counter() - start < 10.0
+
+
 def test_replicate_report_determinism_and_schema():
     a = replicate_appendix(seed=5, n=2000)
     b = replicate_appendix(seed=5, n=2000)
@@ -401,6 +461,14 @@ def test_cli_input_failures_are_one_line_messages(tmp_path: Path):
              (["replicate-appendix", "--n", "3"], "n: must be a positive even"),
              (["replicate-appendix", "--n", "-4"], "n: must be a positive even"),
              (["replicate-appendix", "--seed", "-1"], "seed: must lie in")]
+    # name lists follow the config's balance_set rule
+    rule = "must name at least one covariate, none twice and none empty"
+    for names in (",", "x,x", "x,,y"):
+        cases.append((["weights", "--ipd", str(good), "--targets", str(x_targets),
+                       "--balance-set", names], f"--balance-set: {rule}"))
+    for names in (",", "", "x,x"):
+        cases.append((["fit", "--data", str(good), "--adjust", names],
+                      f"--adjust: {rule}"))
     # non-finite times, covariates and weights
     for bad in ("inf", "nan"):
         csv = write(f"time_{bad}.csv", "subject_id,x,trt,time,status\n"
@@ -460,7 +528,7 @@ def test_cli_simulate_weights_fit(tmp_path: Path, capsys):
     names = ["PLNEN", "ISS", "Refr"]
     trial_A = trial_from_csv((out / "study_A.csv").read_text())
     w = estimate_weights(center_covariates(
-        trial_A.columns(names), [targets[nm] for nm in names], names)).w
+        trial_A.columns(names), [targets[nm] for nm in names])).w
     lines = ["weight"] + [f"{v:.10g}" for v in w]
     assert wfile.read_text() == "\n".join(lines) + "\n"
 

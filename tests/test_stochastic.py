@@ -14,25 +14,25 @@ from maicsim.stochastic import (
     Uniform01,
     draw_variates,
     exponential_inverse,
+    RandomStream,
     ndtri,
-    seed_stream,
 )
 
 E2 = math.exp(-2)
 
 
 def test_same_seed_same_uniforms():
-    a = seed_stream(555)
-    b = seed_stream(555)
+    a = RandomStream(555)
+    b = RandomStream(555)
     assert np.array_equal(a.uniforms(1000), b.uniforms(1000))
 
 
 def test_different_seeds_differ():
-    assert seed_stream(0).uniform() != seed_stream(1).uniform()
+    assert RandomStream(0).uniforms(1)[0] != RandomStream(1).uniforms(1)[0]
 
 
 def test_uniforms_in_open_interval():
-    u = seed_stream(7).uniforms(10_000)
+    u = RandomStream(7).uniforms(10_000)
     assert np.all(u > 0.0) and np.all(u < 1.0)
 
 
@@ -43,7 +43,7 @@ def test_uniforms_below_one_at_the_largest_integer():
         def integers(self, low, high, size, dtype):
             return np.array([0, 2**53 - 1], dtype=dtype)[:size]
 
-    s = seed_stream(7)
+    s = RandomStream(7)
     s._bits = Bits()
     assert s.uniforms(2).tolist() == [2.0**-54, np.nextafter(1.0, 0.0)]
     assert np.all(draw_variates(s, Exponential(1.0), 2) > 0)
@@ -52,7 +52,7 @@ def test_uniforms_below_one_at_the_largest_integer():
 
 def test_reproducible_across_mixed_call_sequence():
     def run():
-        s = seed_stream(42)
+        s = RandomStream(42)
         out = list(draw_variates(s, Normal(0, 1), 1))
         out.extend(draw_variates(s, Poisson(3.4), 5))
         out.extend(draw_variates(s, Exponential(2.0), 1))
@@ -85,21 +85,21 @@ def test_exponential_inverse_at_half():
 
 
 def test_poisson_mean():
-    s = seed_stream(101)
+    s = RandomStream(101)
     x = draw_variates(s, Poisson(3.4), 10**6)
     assert x.mean() == pytest.approx(3.4, abs=0.01)
     assert np.all(x >= 0) and np.all(x == np.floor(x))
 
 
 def test_bernoulli_mean():
-    s = seed_stream(202)
+    s = RandomStream(202)
     x = draw_variates(s, Bernoulli(0.74), 10**6)
     assert set(np.unique(x)) <= {0.0, 1.0}
     assert x.mean() == pytest.approx(0.74, abs=0.005)
 
 
 def test_draw_count_uniform_and_normal():
-    s = seed_stream(1)
+    s = RandomStream(1)
     s.uniforms(10)
     assert s.draw_count == 10
     draw_variates(s, Normal(2.0, 3.0), 25)
@@ -112,7 +112,7 @@ def test_draw_count_uniform_and_normal():
 
 def test_draw_count_poisson_inversion():
     # multiplicative inversion consumes k+1 uniforms to produce the value k
-    s = seed_stream(9)
+    s = RandomStream(9)
     x = draw_variates(s, Poisson(3.4), 1000)
     assert s.draw_count == int(x.sum()) + 1000
 
@@ -132,7 +132,7 @@ def masked_loop_poisson(stream, lam, n):
 
 @pytest.mark.parametrize("lam", [0.5, 3.4, 50, 700])
 def test_poisson_matches_masked_loop(lam):
-    got_stream, want_stream = seed_stream(21), seed_stream(21)
+    got_stream, want_stream = RandomStream(21), RandomStream(21)
     got = draw_variates(got_stream, Poisson(lam), 2000)
     want = masked_loop_poisson(want_stream, lam, 2000)
     assert got.tobytes() == want.tobytes()
@@ -140,30 +140,30 @@ def test_poisson_matches_masked_loop(lam):
 
 
 def test_poisson_largest_lambda_terminates():
-    x = draw_variates(seed_stream(10), Poisson(708.0), 20)
+    x = draw_variates(RandomStream(10), Poisson(708.0), 20)
     assert abs(x.mean() - 708.0) < 4 * math.sqrt(708.0 / 20)
 
 
 def test_uniform_ks():
-    u = seed_stream(11).uniforms(10**5)
+    u = RandomStream(11).uniforms(10**5)
     assert stats.kstest(u, "uniform").pvalue > 0.001
 
 
 def test_normal_ks_standardized():
-    s = seed_stream(12)
+    s = RandomStream(12)
     x = draw_variates(s, Normal(69.3, 5.0), 10**5)
     z = (x - 69.3) / 5.0
     assert stats.kstest(z, "norm").pvalue > 0.001
 
 
 def test_exponential_ks():
-    s = seed_stream(13)
+    s = RandomStream(13)
     x = draw_variates(s, Exponential(0.5), 10**5)
     assert stats.kstest(x, "expon", args=(0, 2.0)).pvalue > 0.001
 
 
 def test_poisson_chisquare():
-    s = seed_stream(14)
+    s = RandomStream(14)
     n = 10**5
     x = draw_variates(s, Poisson(3.4), n).astype(int)
     kmax = 12  # expected count in the tail bin stays well above 5
@@ -175,7 +175,7 @@ def test_poisson_chisquare():
 
 
 def test_bernoulli_chisquare():
-    s = seed_stream(15)
+    s = RandomStream(15)
     n = 10**5
     x = draw_variates(s, Bernoulli(0.92), n)
     observed = np.array([np.sum(x == 0), np.sum(x == 1)])
@@ -184,16 +184,16 @@ def test_bernoulli_chisquare():
 
 
 def test_uniform01_spec():
-    s = seed_stream(16)
+    s = RandomStream(16)
     x = draw_variates(s, Uniform01(), 100)
     assert np.all((x > 0) & (x < 1))
 
 
 def test_bad_seed_rejected():
     with pytest.raises(ValueError):
-        seed_stream(-1)
+        RandomStream(-1)
     with pytest.raises(ValueError):
-        seed_stream(2**64)
+        RandomStream(2**64)
 
 
 def assert_ndtri_matches_scipy(y):
@@ -208,7 +208,7 @@ def assert_ndtri_matches_scipy(y):
 
 
 def test_ndtri_matches_scipy_on_stream_uniforms():
-    assert_ndtri_matches_scipy(seed_stream(2024).uniforms(10**6))
+    assert_ndtri_matches_scipy(RandomStream(2024).uniforms(10**6))
 
 
 def test_ndtri_matches_scipy_at_branch_edges():
