@@ -93,13 +93,14 @@ def estimate_weights(prob: BalanceProblem) -> MaicWeights:
     alpha, _, grad, _, converged, iterations = newton.minimize(
         lambda a: _newton_terms(a, prob), prob.K, _check_bound)
     w = np.exp(prob.Xc @ alpha)
-    # a vanishing gradient with collapsed weights is divergence in disguise:
-    # the moment condition must hold relative to the weight total
+    # a vanishing gradient with collapsed weights is divergence in disguise,
+    # converged or not: the moment condition must hold relative to the weight
+    # total, and outside the hull the gap stays at the target's distance from it
     with np.errstate(invalid="ignore", divide="ignore"):
         rel_gap = np.max(np.abs(prob.Xc.T @ w)) / w.sum()
-    if converged and not rel_gap <= 1e-6:
+    if not rel_gap <= 1e-6:
         raise TargetOutsideSupport(
-            "weighted moment condition unsatisfied at the stationary point; "
+            f"weighted means miss the target means by up to {rel_gap:.3g}; "
             "target means lie outside the convex hull of the IPD covariates")
     return MaicWeights(
         alpha=alpha,

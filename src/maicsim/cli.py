@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from pathlib import Path
@@ -23,8 +22,9 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trial_A, trial_B = harness.simulate_studies(cfg)
-    (out / "study_A.csv").write_text(cohortsim.trial_to_csv(trial_A))
-    (out / "study_B.csv").write_text(cohortsim.trial_to_csv(trial_B))
+    for name, trial in (("study_A.csv", trial_A), ("study_B.csv", trial_B)):
+        with open(out / name, "w") as f:
+            cohortsim.write_trial_csv(trial, f)
     targets = dict(zip(trial_B.covariate_names,
                        map(float, cohortsim.covariate_means(trial_B))))
     (out / "targets.json").write_text(json.dumps(targets, indent=2) + "\n")
@@ -33,7 +33,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    trial = cohortsim.trial_from_csv(Path(args.ipd).read_text())
+    with open(args.ipd, "rb") as f:
+        trial = cohortsim.trial_from_csv(f)
     targets = json.loads(Path(args.targets).read_text())
     if not isinstance(targets, dict):
         raise ValueError(f"targets must be a JSON object, got {targets!r}")
@@ -56,14 +57,15 @@ def _cmd_fit(args) -> int:
     if args.adjust is not None and args.weights:
         raise ValueError("covariate adjustment with weights is not supported; "
                          "use one or the other")
-    trial = cohortsim.trial_from_csv(Path(args.data).read_text())
+    with open(args.data, "rb") as f:
+        trial = cohortsim.trial_from_csv(f)
     weights = None
     if args.weights:
-        data = io.BytesIO(Path(args.weights).read_bytes())
-        # the "weight" header line is optional
-        if data.readline().strip() != b"weight":
-            data.seek(0)
-        weights = np.loadtxt(data, comments=None, ndmin=1)
+        with open(args.weights, "rb") as f:
+            # the "weight" header line is optional
+            if f.readline().strip() != b"weight":
+                f.seek(0)
+            weights = np.loadtxt(f, comments=None, ndmin=1)
     if args.adjust is not None:
         names = harness._name_list(args.adjust.split(","), "--adjust")
         est = estimands.conditional_effect(trial, names)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,8 +19,6 @@ import numpy as np
 
 from .coxph import SurvivalSample, fit_cox, require_converged, time_order
 from .stochastic import DistributionSpec, RandomStream, draw_variates, exponential_inverse
-
-_NON_SPACE = re.compile(r"\S")
 
 
 @dataclass(frozen=True)
@@ -139,10 +136,22 @@ def linear_predictor(X: np.ndarray, trt: np.ndarray, model: OutcomeModelSpec) ->
 def simulate_survival(lp: np.ndarray, model: OutcomeModelSpec, stream: RandomStream):
     lp = np.asarray(lp, dtype=float)
     n = lp.shape[0]
-    tlat = exponential_inverse(stream.uniforms(n), model.baseline_rate * np.exp(lp))
-    if model.censoring_rate == 0:
-        return tlat, np.ones(n)
-    cens = exponential_inverse(stream.uniforms(n), model.censoring_rate)
+    # a hazard that under- or overflows gives latent times of inf or 0, which
+    # are refused below; a censoring time past the largest double is inf,
+    # which is right: that subject is never censored
+    with np.errstate(over="ignore", divide="ignore"):
+        tlat = exponential_inverse(stream.uniforms(n), model.baseline_rate * np.exp(lp))
+        bad = np.count_nonzero(~((tlat > 0) & (tlat < np.inf)))
+        if bad:
+            names = [c.name for c in model.covariates
+                     if c.prognostic_coef or c.interaction_coef]
+            raise ValueError(
+                f"the event hazard baseline_rate * exp(linear predictor) under- or "
+                f"overflows for {bad} of {n} subjects; covariates with non-zero "
+                f"coefficients: {', '.join(names) or 'none'}")
+        if model.censoring_rate == 0:
+            return tlat, np.ones(n)
+        cens = exponential_inverse(stream.uniforms(n), model.censoring_rate)
     time = np.minimum(tlat, cens)
     status = (tlat <= cens).astype(float)
     return time, status
@@ -198,32 +207,41 @@ def format_rows(fmt: str, columns) -> Iterator[str]:
         yield "".join(fmt % row for row in rows)
 
 
-def trial_to_csv(trial: TrialData) -> str:
-    head = io.StringIO()
-    csv.writer(head, lineterminator="\n").writerow(
+def write_trial_csv(trial: TrialData, f) -> None:
+    """Write ``trial`` as CSV to the open text file ``f``, a block of rows at
+    a time, so the whole text is never held."""
+    csv.writer(f, lineterminator="\n").writerow(
         ["subject_id", *trial.covariate_names, "trt", "time", "status"])
     # "%.10g" % v is the text of f"{v:.10g}"; "%d" truncates as int() does
     fmt = "%d," + "%.10g," * trial.X.shape[1] + "%d,%.10g,%d\n"
     columns = [np.arange(trial.n), *trial.X.T, trial.trt, trial.time, trial.status]
-    return "".join([head.getvalue(), *format_rows(fmt, columns)])
+    f.writelines(format_rows(fmt, columns))
 
 
-def trial_from_csv(text: str) -> TrialData:
-    if not text:
+def trial_to_csv(trial: TrialData) -> str:
+    buf = io.StringIO()
+    write_trial_csv(trial, buf)
+    return buf.getvalue()
+
+
+def trial_from_csv(f) -> TrialData:
+    """The trial in the open binary CSV file ``f``, read from its position."""
+    head = f.readline()
+    if not head:
         raise ValueError("trial CSV is empty")
-    # found in place: slicing off the body would copy it
-    head_end = text.find("\n")
-    if head_end < 0 or not _NON_SPACE.search(text, head_end):
-        raise ValueError("trial CSV has a header but no subject rows")
-    header = next(csv.reader([text[:head_end]]), [])
+    # loadtxt warns on a body without rows, so find the first one and go back
+    body = f.tell()
+    while not (line := f.readline()).strip():
+        if not line:
+            raise ValueError("trial CSV has a header but no subject rows")
+    f.seek(body)
+    header = next(csv.reader([head.decode()]), [])
     if header[:1] != ["subject_id"] or header[-3:] != ["trt", "time", "status"]:
         raise ValueError("unrecognized trial CSV header")
     names = tuple(header[1:-3])
-    # numpy's C parser raises ValueError on a ragged row or a non-number; it
-    # reads bytes a chunk at a time, where a StringIO would hold the whole
-    # text at 4 bytes a character
-    table = np.loadtxt(io.BytesIO(text.encode()), delimiter=",", comments=None,
-                       skiprows=1, ndmin=2)
+    # numpy's C parser raises ValueError on a ragged row or a non-number, and
+    # takes the file a line at a time
+    table = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
     if table.shape[1] != len(header):
         raise ValueError(f"trial CSV rows have {table.shape[1]} fields but the "
                          f"header names {len(header)}")

@@ -147,6 +147,19 @@ def test_target_outside_support():
         estimate_weights(prob)
 
 
+def test_target_outside_hull_named_when_newton_stops_unconverged():
+    # below every IPD value Newton moves alpha by about 1 / gap a step, so it
+    # stays inside the divergence bound and runs out of steps with a vanishing
+    # gradient, while the weighted mean stays at the edge of the hull
+    age = np.random.default_rng(3).normal(59.0, 1.0, size=(1000, 1))
+    assert age.min() > 52.0
+    with pytest.raises(TargetOutsideSupport, match="miss the target means"):
+        estimate_weights(center_covariates(age, [52.0]))
+    for target in (57.0, 59.0):
+        weights = estimate_weights(center_covariates(age, [target]))
+        assert weights.converged and weights.iterations < newton.MAX_ITERS
+
+
 def test_no_covariates_rejected():
     prob = center_covariates(np.empty((10, 0)), [])
     with pytest.raises(ValueError):

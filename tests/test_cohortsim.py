@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from maicsim.cohortsim import (
     trial_from_csv,
     trial_to_csv,
     with_outcomes,
+    write_trial_csv,
 )
 from maicsim.estimands import marginal_effect
 from maicsim.stochastic import Bernoulli, Normal, Poisson, RandomStream
@@ -200,7 +202,7 @@ def test_csv_round_trip():
     text = trial_to_csv(trial)
     header = text.splitlines()[0]
     assert header == "subject_id,Age,PLNEN,ISS,Refr,trt,time,status"
-    back = trial_from_csv(text)
+    back = trial_from_csv(io.BytesIO(text.encode()))
     assert back.covariate_names == trial.covariate_names
     np.testing.assert_allclose(back.X, trial.X, rtol=1e-9)
     np.testing.assert_allclose(back.time, trial.time, rtol=1e-9)
@@ -234,7 +236,7 @@ def test_csv_round_trip_extreme_values():
     for t in (trial, small_trial(n=50)):
         text = trial_to_csv(t)
         assert text == loop_to_csv(t)
-        back = trial_from_csv(text)
+        back = trial_from_csv(io.BytesIO(text.encode()))
         want = loop_from_csv(text)
         assert want.tobytes() == np.array(
             [[float(f"{v:.10g}") for v in row]
@@ -259,9 +261,26 @@ def test_csv_write_memory_is_a_small_multiple_of_the_text():
     assert peak < 4 * len(text)
 
 
+def test_csv_write_memory_does_not_grow_with_n(tmp_path):
+    # written to the file a block at a time: no whole text, no bytes copy
+    def peak(n):
+        trial = small_trial(n=n, seed=27)
+        with open(tmp_path / f"trial_{n}.csv", "w") as f:
+            return _peak_bytes(write_trial_csv, trial, f)[1]
+
+    assert peak(65_536) <= 1.5 * peak(16_384)
+
+
+def test_write_trial_csv_is_the_text_of_trial_to_csv():
+    trial = small_trial(n=20_000)
+    buf = io.StringIO()
+    write_trial_csv(trial, buf)
+    assert buf.getvalue() == trial_to_csv(trial)
+
+
 def test_csv_read_memory_is_a_small_multiple_of_the_text():
     text = trial_to_csv(small_trial(n=50_000, seed=27))
-    _, peak = _peak_bytes(trial_from_csv, text)
+    _, peak = _peak_bytes(trial_from_csv, io.BytesIO(text.encode()))
     assert peak < 5 * len(text)
 
 
@@ -271,22 +290,26 @@ def test_csv_malformed_rows_rejected():
     short = first.rsplit(",", 1)[0]
     for bad in (short, first + ",1", first.replace(",", ",abc,", 1)):
         with pytest.raises(ValueError):
-            trial_from_csv("\n".join([header, bad, rest]))
+            trial_from_csv(io.BytesIO("\n".join([header, bad, rest]).encode()))
     # every row one field short of the header
     rows = [line.rsplit(",", 1)[0] for line in text.splitlines()[1:]]
     with pytest.raises(ValueError, match="fields"):
-        trial_from_csv("\n".join([header, *rows]) + "\n")
+        trial_from_csv(io.BytesIO(("\n".join([header, *rows]) + "\n").encode()))
 
 
 def test_csv_empty_text_rejected():
     with pytest.raises(ValueError, match="empty"):
-        trial_from_csv("")
+        trial_from_csv(io.BytesIO(b""))
 
 
 def test_csv_header_only_rejected():
     header = trial_to_csv(small_trial(n=50)).splitlines()[0]
-    with pytest.raises(ValueError, match="no subject rows"):
-        trial_from_csv(header + "\n")
+    # found before numpy's loadtxt, which would warn on a body without rows
+    for body in ("", "\n", "\n \n\t\n"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no subject rows"):
+                trial_from_csv(io.BytesIO((header + "\n" + body).encode()))
 
 
 def test_trial_data_validation():

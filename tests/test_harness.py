@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -280,8 +281,10 @@ def test_parsed_configs_give_finite_numbers_or_a_stage_error(doc):
     start = time.perf_counter()
     try:
         result = run_scenario(cfg)
-    except StageError:
-        pass
+    except StageError as exc:
+        # a numpy RuntimeWarning, raised as an error under the pytest
+        # settings, is a numeric defect and not a refused input
+        assert not isinstance(exc.__cause__, Warning), exc
     else:
         # json.loads hands NaN, Infinity and -Infinity to parse_constant
         json.loads(result.to_json(), parse_constant=_no_constant)
@@ -347,6 +350,29 @@ def test_stage_annotation_on_failure():
     assert isinstance(info.value, StageError)
     assert info.value.stage == "weights"
     assert isinstance(info.value.__cause__, TargetOutsideSupport)
+
+
+@pytest.mark.parametrize("coef, censoring_rate",
+                         [(-300.0, 0.0), (-300.0, 0.1 / 365), (300.0, 0.0)])
+def test_hazard_out_of_range_fails_in_simulation(coef, censoring_rate):
+    # exp(coef * PLNEN) under- or overflows for most subjects, so their latent
+    # times are inf or 0; with censoring they would all be silently censored
+    covariates = [
+        {"name": "Age", "dist": {"kind": "normal", "mean": 69.3, "sd": 9.0}},
+        {"name": "PLNEN", "dist": {"kind": "poisson", "lam": 3.4},
+         "prognostic_coef": coef},
+        {"name": "ISS", "dist": {"kind": "bernoulli", "p": 0.74}},
+        {"name": "Refr", "dist": {"kind": "bernoulli", "p": 0.92},
+         "prognostic_coef": 0.5}]
+    doc = {"n": 200, "seed": 11, "study_A": {
+        "censoring_rate": censoring_rate, "covariates": covariates}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StageError, match="under- or overflows") as info:
+            run_scenario(parse_config(doc))
+    assert info.value.stage == "simulate_A"
+    assert isinstance(info.value.__cause__, ValueError)
+    assert "non-zero coefficients: PLNEN, Refr" in str(info.value)
 
 
 def test_unconverged_solvers_fail_loudly(monkeypatch, tmp_path: Path):
@@ -526,7 +552,8 @@ def test_cli_simulate_weights_fit(tmp_path: Path, capsys):
                      "--out", str(wfile)]) == 0
     # the weights file: a "weight" header, then one %.10g value per line
     names = ["PLNEN", "ISS", "Refr"]
-    trial_A = trial_from_csv((out / "study_A.csv").read_text())
+    with open(out / "study_A.csv", "rb") as f:
+        trial_A = trial_from_csv(f)
     w = estimate_weights(center_covariates(
         trial_A.columns(names), [targets[nm] for nm in names])).w
     lines = ["weight"] + [f"{v:.10g}" for v in w]
@@ -539,6 +566,22 @@ def test_cli_simulate_weights_fit(tmp_path: Path, capsys):
     assert capsys.readouterr().out == marginal_effect(trial_A, read_back).to_json() + "\n"
     assert cli.main(["fit", "--data", str(out / "study_A.csv"),
                      "--adjust", "PLNEN,ISS,Refr"]) == 0
+
+
+def test_cli_simulate_writes_the_trials_to_ten_digits(tmp_path: Path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL))
+    out = tmp_path / "data"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    for name, trial in zip(("study_A.csv", "study_B.csv"),
+                           simulate_studies(parse_config(SMALL))):
+        with open(out / name, "rb") as f:
+            back = trial_from_csv(f)
+        assert back.covariate_names == trial.covariate_names
+        values = np.column_stack([trial.X, trial.trt, trial.time, trial.status])
+        want = np.array([float(f"{v:.10g}") for v in values.ravel()])
+        got = np.column_stack([back.X, back.trt, back.time, back.status])
+        assert got.tobytes() == want.reshape(values.shape).tobytes()
 
 
 def test_cli_scenario_runs(capsys, tmp_path: Path):
