@@ -1,10 +1,11 @@
 """Moment-matching weight estimation for population adjustment.
 
-IPD covariates are centered on the target (aggregate) means; minimizing the
-convex objective Q(alpha) = sum_i exp(Xc_i . alpha) by Newton's method, with
-the analytic Hessian Xc' diag(w) Xc, yields tilting coefficients whose
-weights w_i = exp(Xc_i . alpha) satisfy the first-order moment condition:
-weighted IPD covariate means equal the target means.
+IPD covariates are centered on the target (aggregate) means, and the n x K
+array Xc that results is all the solver takes. Minimizing the convex
+objective Q(alpha) = sum_i exp(Xc_i . alpha) by Newton's method, with the
+analytic Hessian Xc' diag(w) Xc, yields tilting coefficients whose weights
+w_i = exp(Xc_i . alpha) satisfy the first-order moment condition: weighted
+IPD covariate means equal the target means.
 """
 
 from __future__ import annotations
@@ -28,19 +29,6 @@ class WeightsNotConverged(Exception):
     """Newton stopped before the weight objective converged."""
 
 
-@dataclass(frozen=True)
-class BalanceProblem:
-    Xc: np.ndarray      # n x K, centered on target means
-
-    @property
-    def n(self) -> int:
-        return self.Xc.shape[0]
-
-    @property
-    def K(self) -> int:
-        return self.Xc.shape[1]
-
-
 @dataclass
 class MaicWeights:
     alpha: np.ndarray
@@ -51,31 +39,32 @@ class MaicWeights:
     iterations: int
 
 
-def center_covariates(X_ipd: np.ndarray, target_means) -> BalanceProblem:
+def center_covariates(X_ipd: np.ndarray, target_means) -> np.ndarray:
+    """The n x K covariates ``X_ipd`` centered on the K ``target_means``."""
     X_ipd = np.atleast_2d(np.asarray(X_ipd, dtype=float))
     target = np.asarray(target_means, dtype=float).ravel()
     if X_ipd.shape[1] != target.shape[0]:
         raise ValueError(
             f"{X_ipd.shape[1]} covariate columns but {target.shape[0]} target means")
-    return BalanceProblem(X_ipd - target)
+    return X_ipd - target
 
 
-def objective_and_gradient(alpha: np.ndarray, prob: BalanceProblem):
+def objective_and_gradient(alpha: np.ndarray, Xc: np.ndarray):
     alpha = np.asarray(alpha, dtype=float)
-    e = prob.Xc @ alpha
+    e = Xc @ alpha
     if np.max(e, initial=-np.inf) > _MAX_EXPONENT:
-        return np.inf, np.full(prob.K, np.nan)
+        return np.inf, np.full(Xc.shape[1], np.nan)
     w = np.exp(e)
-    return float(w.sum()), prob.Xc.T @ w
+    return float(w.sum()), Xc.T @ w
 
 
-def _newton_terms(alpha: np.ndarray, prob: BalanceProblem):
+def _newton_terms(alpha: np.ndarray, Xc: np.ndarray):
     """Q, its gradient and its Hessian Xc' diag(w) Xc."""
-    q, g = objective_and_gradient(alpha, prob)
+    q, g = objective_and_gradient(alpha, Xc)
     if not np.isfinite(q):
         return q, g, None
-    w = np.exp(prob.Xc @ alpha)
-    return q, g, prob.Xc.T @ (w[:, None] * prob.Xc)
+    w = np.exp(Xc @ alpha)
+    return q, g, Xc.T @ (w[:, None] * Xc)
 
 
 def _check_bound(alpha: np.ndarray):
@@ -85,19 +74,21 @@ def _check_bound(alpha: np.ndarray):
             "convex hull of the IPD covariates")
 
 
-def estimate_weights(prob: BalanceProblem) -> MaicWeights:
-    if prob.K < 1:
+def estimate_weights(Xc: np.ndarray) -> MaicWeights:
+    """Weights that zero the weighted column means of the centered ``Xc``."""
+    n, K = Xc.shape
+    if K < 1:
         raise ValueError("at least one covariate is required")
-    if prob.n <= prob.K:
-        raise ValueError(f"need n > K, got n={prob.n}, K={prob.K}")
+    if n <= K:
+        raise ValueError(f"need n > K, got n={n}, K={K}")
     alpha, _, grad, _, converged, iterations = newton.minimize(
-        lambda a: _newton_terms(a, prob), prob.K, _check_bound)
-    w = np.exp(prob.Xc @ alpha)
+        lambda a: _newton_terms(a, Xc), K, _check_bound)
+    w = np.exp(Xc @ alpha)
     # a vanishing gradient with collapsed weights is divergence in disguise,
     # converged or not: the moment condition must hold relative to the weight
     # total, and outside the hull the gap stays at the target's distance from it
     with np.errstate(invalid="ignore", divide="ignore"):
-        rel_gap = np.max(np.abs(prob.Xc.T @ w)) / w.sum()
+        rel_gap = np.max(np.abs(Xc.T @ w)) / w.sum()
     if not rel_gap <= 1e-6:
         raise TargetOutsideSupport(
             f"weighted means miss the target means by up to {rel_gap:.3g}; "

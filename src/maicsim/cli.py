@@ -7,8 +7,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import balance, cohortsim, coxph, estimands, harness
 
 
@@ -35,9 +33,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_weights(args) -> int:
     with open(args.ipd, "rb") as f:
         trial = cohortsim.trial_from_csv(f)
-    targets = json.loads(Path(args.targets).read_text())
-    if not isinstance(targets, dict):
-        raise ValueError(f"targets must be a JSON object, got {targets!r}")
+    targets = harness._typed(json.loads(Path(args.targets).read_text()), dict, "targets")
     names = harness._name_list(args.balance_set.split(","), "--balance-set")
     missing = [nm for nm in names if nm not in targets]
     if missing:
@@ -65,7 +61,11 @@ def _cmd_fit(args) -> int:
             # the "weight" header line is optional
             if f.readline().strip() != b"weight":
                 f.seek(0)
-            weights = np.loadtxt(f, comments=None, ndmin=1)
+            table = cohortsim.read_rows(f, "weights file holds no weights")
+        if table.shape != (trial.n, 1):
+            raise ValueError(f"weights file has {table.shape[0]} rows of {table.shape[1]} "
+                             f"fields, not {trial.n} rows of one weight")
+        weights = table[:, 0]
     if args.adjust is not None:
         names = harness._name_list(args.adjust.split(","), "--adjust")
         est = estimands.conditional_effect(trial, names)

@@ -224,24 +224,30 @@ def trial_to_csv(trial: TrialData) -> str:
     return buf.getvalue()
 
 
+def read_rows(f, if_empty: str) -> np.ndarray:
+    """The comma-separated numbers of the open binary file ``f`` from its
+    position on, a row per line; ValueError(``if_empty``) if there is none."""
+    # loadtxt warns on a body without rows, so find the first one and go back
+    body = f.tell()
+    while not (line := f.readline()).strip():
+        if not line:
+            raise ValueError(if_empty)
+    f.seek(body)
+    # numpy's C parser raises ValueError on a ragged row or a non-number, and
+    # takes the file a line at a time
+    return np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+
+
 def trial_from_csv(f) -> TrialData:
     """The trial in the open binary CSV file ``f``, read from its position."""
     head = f.readline()
     if not head:
         raise ValueError("trial CSV is empty")
-    # loadtxt warns on a body without rows, so find the first one and go back
-    body = f.tell()
-    while not (line := f.readline()).strip():
-        if not line:
-            raise ValueError("trial CSV has a header but no subject rows")
-    f.seek(body)
+    table = read_rows(f, "trial CSV has a header but no subject rows")
     header = next(csv.reader([head.decode()]), [])
     if header[:1] != ["subject_id"] or header[-3:] != ["trt", "time", "status"]:
         raise ValueError("unrecognized trial CSV header")
     names = tuple(header[1:-3])
-    # numpy's C parser raises ValueError on a ragged row or a non-number, and
-    # takes the file a line at a time
-    table = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
     if table.shape[1] != len(header):
         raise ValueError(f"trial CSV rows have {table.shape[1]} fields but the "
                          f"header names {len(header)}")

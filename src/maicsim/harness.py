@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import balance, estimands, stochastic
 from .cohortsim import (
@@ -76,6 +76,10 @@ class ScenarioConfig:
     balance_set: tuple[str, ...] = ("PLNEN", "ISS", "Refr")
 
     def __post_init__(self):
+        if self.n < 2 or self.n % 2 != 0:
+            raise ConfigError("n", f"must be a positive even integer, got {self.n}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed", f"must lie in [0, 2**64), got {self.seed}")
         # MAIC needs each balance covariate in study A's IPD and in study B's
         # published means
         for name in _name_list(self.balance_set, "balance_set"):
@@ -99,26 +103,26 @@ def _require_declared(name: str, path: str, study_A: OutcomeModelSpec,
             raise ConfigError(path, f"{name!r} is not a declared covariate of {study}")
 
 
-def _object(d, allowed, path: str) -> dict:
-    """``d`` itself, if it is a JSON object with no field outside ``allowed``."""
-    if not isinstance(d, dict):
-        raise ConfigError(path, f"must be a JSON object, got {d!r}")
-    for key in d:
+_JSON_TYPES = {dict: "a JSON object", list: "a JSON list", str: "a string"}
+
+
+def _typed(value, json_type: type, path: str):
+    """``value`` itself, if it is of ``json_type``: dict, list or str."""
+    if not isinstance(value, json_type):
+        raise ConfigError(path, f"must be {_JSON_TYPES[json_type]}, got {value!r}")
+    return value
+
+
+def _object(d, allowed, path: str, required=()) -> dict:
+    """``d`` itself, if it is a JSON object with no field outside ``allowed``
+    and each field in ``required``."""
+    for key in _typed(d, dict, path):
         if key not in allowed:
             raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
+    for key in required:
+        if key not in d:
+            raise ConfigError(f"{path}.{key}", "missing required field")
     return d
-
-
-def _list(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(path, f"must be a JSON list, got {value!r}")
-    return value
-
-
-def _string(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(path, f"must be a string, got {value!r}")
-    return value
 
 
 def _number(d: dict, key: str, default: float | None, path: str) -> float:
@@ -130,50 +134,43 @@ def _number(d: dict, key: str, default: float | None, path: str) -> float:
     return float(value)
 
 
-# kind -> (spec class, its parameters in config order)
-_DISTS = {
-    "uniform01": (stochastic.Uniform01, ()),
-    "normal": (Normal, ("mean", "sd")),
-    "poisson": (Poisson, ("lam",)),
-    "bernoulli": (Bernoulli, ("p",)),
-    "exponential": (stochastic.Exponential, ("rate",)),
-}
-
-
-def _parse_dist(d, path: str) -> DistributionSpec:
-    if not isinstance(d, dict):
-        raise ConfigError(path, f"must be a JSON object, got {d!r}")
-    if "kind" not in d:
-        raise ConfigError(f"{path}.kind", "missing required field")
-    kind = d["kind"]
-    if not isinstance(kind, str) or kind not in _DISTS:
-        raise ConfigError(f"{path}.kind", f"unknown distribution kind {kind!r}")
-    cls, fields = _DISTS[kind]
-    _object(d, ("kind", *fields), path)
-    missing = [f for f in fields if f not in d]
-    if missing:
-        raise ConfigError(f"{path}.{missing[0]}", "missing required field")
-    params = {f: _number(d, f, None, path) for f in fields}
+def _spec(cls, path: str, **params):
+    """``cls(**params)``, with a ValueError from its own checks reported at
+    ``path``."""
     try:
         return cls(**params)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
+# kind -> spec class; its dataclass fields are the kind's parameters
+_DISTS = {"uniform01": stochastic.Uniform01, "normal": Normal, "poisson": Poisson,
+          "bernoulli": Bernoulli, "exponential": stochastic.Exponential}
+
+
+def _parse_dist(d, path: str) -> DistributionSpec:
+    # any field is allowed until the kind says which are
+    kind = _object(d, d, path, ("kind",))["kind"]
+    if not isinstance(kind, str) or kind not in _DISTS:
+        raise ConfigError(f"{path}.kind", f"unknown distribution kind {kind!r}")
+    params = [f.name for f in fields(_DISTS[kind])]
+    _object(d, ("kind", *params), path, params)
+    return _spec(_DISTS[kind], path, **{p: _number(d, p, None, path) for p in params})
+
+
+_RATES = ("treatment_log_hr", "baseline_rate", "censoring_rate")
+
+
 def _parse_study(d, default: OutcomeModelSpec, path: str) -> OutcomeModelSpec:
-    _object(d, ("treatment_log_hr", "baseline_rate", "censoring_rate",
-                "covariates"), path)
+    _object(d, (*_RATES, "covariates"), path)
     covariates = default.covariates
     if "covariates" in d:
         covariates = []
-        for i, cd in enumerate(_list(d["covariates"], f"{path}.covariates")):
+        for i, cd in enumerate(_typed(d["covariates"], list, f"{path}.covariates")):
             cpath = f"{path}.covariates[{i}]"
-            _object(cd, ("name", "dist", "prognostic_coef", "interaction_coef"), cpath)
-            if "name" not in cd:
-                raise ConfigError(f"{cpath}.name", "missing required field")
-            if "dist" not in cd:
-                raise ConfigError(f"{cpath}.dist", "missing required field")
-            name = _string(cd["name"], f"{cpath}.name")
+            _object(cd, ("name", "dist", "prognostic_coef", "interaction_coef"),
+                    cpath, ("name", "dist"))
+            name = _typed(cd["name"], str, f"{cpath}.name")
             # names become CSV header fields and --balance-set entries
             if not name or any(c in name for c in ',"\n\r'):
                 raise ConfigError(f"{cpath}.name", "must be non-empty, without "
@@ -184,12 +181,8 @@ def _parse_study(d, default: OutcomeModelSpec, path: str) -> OutcomeModelSpec:
                 prognostic_coef=_number(cd, "prognostic_coef", 0.0, cpath),
                 interaction_coef=_number(cd, "interaction_coef", 0.0, cpath),
             ))
-    rates = {key: _number(d, key, getattr(default, key), path)
-             for key in ("treatment_log_hr", "baseline_rate", "censoring_rate")}
-    try:
-        return OutcomeModelSpec(covariates=tuple(covariates), **rates)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    rates = {key: _number(d, key, getattr(default, key), path) for key in _RATES}
+    return _spec(OutcomeModelSpec, path, covariates=tuple(covariates), **rates)
 
 
 def _integer(d: dict, key: str, default: int) -> int:
@@ -213,30 +206,23 @@ def parse_config(document: str | dict) -> ScenarioConfig:
     study_A = _parse_study(d.get("study_A", {}), ScenarioConfig.study_A, "study_A")
     study_B = _parse_study(d.get("study_B", {}), ScenarioConfig.study_B, "study_B")
     if d.get("interaction") is not None:
-        idict = _object(d["interaction"], ("covariate", "coefficient"), "interaction")
-        for f in ("covariate", "coefficient"):
-            if f not in idict:
-                raise ConfigError(f"interaction.{f}", "missing required field")
-        name = _string(idict["covariate"], "interaction.covariate")
+        keys = ("covariate", "coefficient")
+        idict = _object(d["interaction"], keys, "interaction", keys)
+        name = _typed(idict["covariate"], str, "interaction.covariate")
         coef = _number(idict, "coefficient", None, "interaction")
         # the interaction modifies both studies' outcomes
         _require_declared(name, "interaction.covariate", study_A, study_B)
         study_A = _with_interaction(study_A, name, coef)
         study_B = _with_interaction(study_B, name, coef)
-    n = _integer(d, "n", DEFAULT_N)
-    if n < 2 or n % 2 != 0:
-        raise ConfigError("n", f"must be a positive even integer, got {n}")
-    seed = _integer(d, "seed", DEFAULT_SEED)
-    if not 0 <= seed < 2**64:
-        raise ConfigError("seed", f"must lie in [0, 2**64), got {seed}")
-    balance_set = _list(d.get("balance_set", list(ScenarioConfig.balance_set)),
-                        "balance_set")
+    balance_set = d.get("balance_set", list(ScenarioConfig.balance_set))
+    # arguments are read in the order written, so errors come in this order
     return ScenarioConfig(
-        seed=seed,
-        n=n,
+        n=_integer(d, "n", DEFAULT_N),
+        seed=_integer(d, "seed", DEFAULT_SEED),
         study_A=study_A,
         study_B=study_B,
-        balance_set=tuple(_string(name, "balance_set") for name in balance_set),
+        balance_set=tuple(_typed(name, str, "balance_set")
+                          for name in _typed(balance_set, list, "balance_set")),
     )
 
 

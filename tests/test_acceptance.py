@@ -168,7 +168,7 @@ def test_criterion_9_invariants():
     targets = X.mean(axis=0) + 0.2
     weights = estimate_weights(center_covariates(X, targets))
     prob = center_covariates(X, targets)
-    rel = np.abs(prob.Xc.T @ weights.w) / weights.w.sum()
+    rel = np.abs(prob.T @ weights.w) / weights.w.sum()
     assert np.max(rel) <= 1e-6
     shifted = X + np.array([50.0, 0.0, 0.0])
     w_shift = estimate_weights(

@@ -291,6 +291,73 @@ def test_parsed_configs_give_finite_numbers_or_a_stage_error(doc):
     assert time.perf_counter() - start < 10.0
 
 
+def _covariates(*entries):
+    return {"study_A": {"covariates": list(entries)}}
+
+
+UNIFORM = {"kind": "uniform01"}
+
+
+@pytest.mark.parametrize("doc, path, text", [
+    ({"interaction": {"covariate": "Age"}}, "interaction.coefficient",
+     "missing required field"),
+    ({"interaction": {"coefficient": 0.1}}, "interaction.covariate",
+     "missing required field"),
+    (_covariates({"dist": UNIFORM}), "study_A.covariates[0].name",
+     "missing required field"),
+    (_covariates({"name": "x"}), "study_A.covariates[0].dist", "missing required field"),
+    (_covariates({"name": "x", "dist": {"mean": 1.0}}), "study_A.covariates[0].dist.kind",
+     "missing required field"),
+    (_covariates({"name": "x", "dist": {"kind": "poisson"}}),
+     "study_A.covariates[0].dist.lam", "missing required field"),
+    (_covariates({"name": "x", "dist": UNIFORM, "coef": 1.0}),
+     "study_A.covariates[0].coef", "unknown field"),
+    (_covariates({"name": "x", "dist": {"kind": "normal", "mean": 0.0, "sd": 1.0,
+                                        "lam": 1.0}}),
+     "study_A.covariates[0].dist.lam", "unknown field"),
+    ({"interaction": {"covariate": "Age", "coefficient": 0.1, "study": "A"}},
+     "interaction.study", "unknown field"),
+])
+def test_parser_errors_name_their_path(doc, path, text):
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert info.value.path == path
+    assert str(info.value) == f"{path}: {text}"
+
+
+def test_scenario_config_checks_its_own_n_and_seed():
+    # a config built without the parser is held to the parser's rules
+    for kwargs, path in (({"n": 3}, "n"), ({"n": 0}, "n"),
+                         ({"seed": -1}, "seed"), ({"seed": 2**64}, "seed")):
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig(**kwargs)
+        assert info.value.path == path
+
+
+KINDS = ("uniform01", "normal", "poisson", "bernoulli", "exponential")
+KEYS = ("seed", "n", "study_A", "study_B", "balance_set", "interaction",
+        "treatment_log_hr", "baseline_rate", "censoring_rate", "covariates", "name",
+        "dist", "prognostic_coef", "interaction_coef", "kind", "mean", "sd", "lam",
+        "p", "rate", "covariate", "coefficient")
+LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-10, 10), st.floats(),
+                   st.text(max_size=3), st.sampled_from(KINDS + NAMES))
+DOCUMENTS = st.dictionaries(st.sampled_from(KEYS), st.recursive(
+    LEAVES, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS), inner, max_size=5), max_leaves=20),
+    max_size=6)
+
+
+@given(DOCUMENTS)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_parse_config_returns_a_config_or_raises_config_error(doc):
+    # any other exception would be a wrong JSON type that no rule names
+    try:
+        cfg = parse_config(doc)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ScenarioConfig)
+
+
 def test_replicate_report_determinism_and_schema():
     a = replicate_appendix(seed=5, n=2000)
     b = replicate_appendix(seed=5, n=2000)
@@ -508,6 +575,14 @@ def test_cli_input_failures_are_one_line_messages(tmp_path: Path):
         w = write(f"w_{bad}.csv", f"weight\n1\n{bad}\n")
         cases.append((["fit", "--data", str(good), "--weights", w],
                       "weights must be finite"))
+    # an empty weights file, and one without one weight for each of the 2 subjects
+    for i, (text, fragment) in enumerate((
+            ("weight\n", "weights file holds no weights"),
+            ("", "weights file holds no weights"),
+            ("1\n1\n1\n", "weights file has 3 rows of 1 fields, not 2 rows"),
+            ("1,1\n1,1\n", "weights file has 2 rows of 2 fields, not 2 rows"))):
+        cases.append((["fit", "--data", str(good), "--weights",
+                       write(f"weights_{i}.csv", text)], fragment))
     # each target must be a finite JSON number in a JSON object
     for i, text in enumerate(('{"x": null}', '{"x": true}', '{"x": NaN}',
                               '{"x": Infinity}', '{"x": "0.5"}', '{"x": 1e400}')):
@@ -516,7 +591,7 @@ def test_cli_input_failures_are_one_line_messages(tmp_path: Path):
                        "--balance-set", "x"], "targets.x: must be a finite number"))
     cases.append((["weights", "--ipd", str(good), "--targets",
                    write("targets_list.json", "[0.5]"), "--balance-set", "x"],
-                  "targets must be a JSON object"))
+                  "targets: must be a JSON object, got [0.5]"))
     src = str(Path(maicsim.__file__).parent.parent)
     for argv, fragment in cases:
         proc = subprocess.run([sys.executable, "-m", "maicsim.cli", *argv],
