@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coxph import SurvivalSample, fit_cox, require_converged, time_order
+from .coxph import SurvivalSample, check_outcomes, fit_cox, require_converged, time_order
 from .stochastic import DistributionSpec, RandomStream, draw_variates, exponential_inverse
 
 
@@ -61,16 +61,14 @@ class TrialData:
 
     def __post_init__(self):
         object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
+        if len(set(self.covariate_names)) != len(self.covariate_names):
+            raise ValueError(f"duplicate covariate names: {list(self.covariate_names)}")
         n = self.X.shape[0]
         if not (self.trt.shape[0] == self.time.shape[0] == self.status.shape[0] == n):
             raise ValueError("parallel arrays must share the row count of X")
-        # comparisons with NaN are false, so each test is for the good values
         if not np.all(np.isfinite(self.X)):
             raise ValueError("all covariate values X must be finite")
-        if not np.all((self.time > 0) & (self.time < np.inf)):
-            raise ValueError("all times must be finite and positive")
-        if not np.all((self.status == 0) | (self.status == 1)):
-            raise ValueError("status must be 0/1")
+        check_outcomes(self.time, self.status)
         if not np.all((self.trt == 0) | (self.trt == 1)):
             raise ValueError("trt must be 0/1")
 
@@ -113,9 +111,6 @@ def simulate_covariates(specs, n: int, stream: RandomStream) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     specs = list(specs)
-    names = [s.name for s in specs]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate covariate names: {names}")
     if not specs:
         return np.empty((n, 0))
     return np.column_stack([draw_variates(stream, s.marginal, n) for s in specs])

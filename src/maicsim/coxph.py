@@ -46,6 +46,15 @@ class NotConverged(CoxError):
     """Newton stopped before the partial likelihood converged."""
 
 
+def check_outcomes(time: np.ndarray, status: np.ndarray) -> None:
+    """ValueError unless every time is finite and positive, every status 0/1."""
+    # comparisons with NaN are false, so each test is for the good values
+    if not np.all((time > 0) & (time < np.inf)):
+        raise ValueError("all times must be finite and positive")
+    if not np.all((status == 0) | (status == 1)):
+        raise ValueError("status must be 0/1")
+
+
 def time_order(time: np.ndarray) -> np.ndarray:
     """Indices that sort ``time`` in descending order; tied subjects come in
     reverse input order, so the order is ascending stable order reversed."""
@@ -77,11 +86,7 @@ class SurvivalSample:
             raise ValueError(f"Z must be n x p with n = {n} rows, got shape {Z.shape}")
         if status.shape[0] != n or w.shape[0] != n:
             raise ValueError("time, status, Z and w must have matching length")
-        # comparisons with NaN are false, so each test is for the good values
-        if not np.all((time > 0) & (time < np.inf)):
-            raise ValueError("all times must be finite and positive")
-        if not np.all((status == 0) | (status == 1)):
-            raise ValueError("status must be 0/1")
+        check_outcomes(time, status)
         if not np.all(np.isfinite(Z)):
             raise ValueError("all covariate values Z must be finite")
         if not np.all((w > 0) & (w < np.inf)):
@@ -175,7 +180,7 @@ class CoxFit:
     @cached_property
     def se_robust(self) -> np.ndarray:
         """Lin-Wei robust standard errors, built on first read."""
-        return np.sqrt(np.diag(_sandwich(self._sorted, self.beta, self._bread)))
+        return np.sqrt(np.diag(robust_variance(self)))
 
 
 def partial_loglik(beta: np.ndarray, data: SurvivalSample) -> float:
@@ -263,16 +268,8 @@ def _residuals(s: _SortedSample, beta: np.ndarray) -> np.ndarray:
     return s.d * (s.z - zbar) - np.exp(eta) * (g0 * s.z - g1)
 
 
-def robust_variance(fit: CoxFit, data: SurvivalSample) -> np.ndarray:
-    """Lin-Wei sandwich: inv(I) (sum_i w_i^2 U_i U_i') inv(I)."""
-    s = _SortedSample(data)
-    try:
-        bread = np.linalg.inv(_score_info(s, fit.beta)[2])
-    except np.linalg.LinAlgError as exc:
-        raise SingularInformation(str(exc)) from exc
-    return _sandwich(s, fit.beta, bread)
-
-
-def _sandwich(s: _SortedSample, beta: np.ndarray, bread: np.ndarray) -> np.ndarray:
-    uw = s.w * _residuals(s, beta)
-    return bread @ (uw @ uw.T) @ bread
+def robust_variance(fit: CoxFit) -> np.ndarray:
+    """Lin-Wei sandwich inv(I) (sum_i w_i^2 U_i U_i') inv(I), from the fit's
+    own time order and inverse information."""
+    uw = fit._sorted.w * _residuals(fit._sorted, fit.beta)
+    return fit._bread @ (uw @ uw.T) @ fit._bread

@@ -50,9 +50,9 @@ class EffectEstimate:
     def ci95(self) -> tuple[float, float]:
         return (self.log_hr - Z_975 * self.se, self.log_hr + Z_975 * self.se)
 
-    def to_json(self) -> str:
+    def as_dict(self) -> dict:
         lo, hi = self.ci95
-        return json.dumps({
+        return {
             "log_hr": self.log_hr,
             "hr": self.hr,
             "se": self.se,
@@ -60,7 +60,10 @@ class EffectEstimate:
             "ci95_hi": hi,
             "scale": self.scale,
             "population": self.population,
-        })
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict())
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,7 @@ def simulated_marginal_loghr(model: OutcomeModelSpec, n: int,
                              stream: RandomStream) -> float:
     """Simulation-based truth for the marginal log hazard ratio: the
     univariable Cox treatment coefficient on one large simulated cohort."""
-    trial = simulate_trial(model, n, stream)
-    return float(_fit(trial, trial.trt).beta[0])
+    return marginal_effect(simulate_trial(model, n, stream)).log_hr
 
 
 def bucher_compare(d_AC: EffectEstimate, d_BC: EffectEstimate) -> IndirectComparison:

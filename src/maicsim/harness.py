@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -76,20 +77,26 @@ class ScenarioConfig:
     balance_set: tuple[str, ...] = ("PLNEN", "ISS", "Refr")
 
     def __post_init__(self):
+        for key in ("n", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(key, f"must be an integer, got {value!r}")
+            object.__setattr__(self, key, int(value))
         if self.n < 2 or self.n % 2 != 0:
             raise ConfigError("n", f"must be a positive even integer, got {self.n}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed", f"must lie in [0, 2**64), got {self.seed}")
+        object.__setattr__(self, "balance_set", _name_list(self.balance_set, "balance_set"))
         # MAIC needs each balance covariate in study A's IPD and in study B's
         # published means
-        for name in _name_list(self.balance_set, "balance_set"):
+        for name in self.balance_set:
             _require_declared(name, "balance_set", self.study_A, self.study_B)
 
 
 def _name_list(names, path: str) -> tuple[str, ...]:
-    """``names`` as a tuple, if it names at least one covariate, none twice
-    and none empty: the rule for ``balance_set`` and the CLI's name lists."""
-    names = tuple(names)
+    """``names`` as a tuple, if it is a list of strings naming at least one
+    covariate, none twice and none empty: the rule for every list of names."""
+    names = tuple(_typed(name, str, path) for name in _typed(names, _LIST, path))
     if not names or "" in names or len(set(names)) != len(names):
         raise ConfigError(path, "must name at least one covariate, none twice "
                           f"and none empty; got {names}")
@@ -103,11 +110,13 @@ def _require_declared(name: str, path: str, study_A: OutcomeModelSpec,
             raise ConfigError(path, f"{name!r} is not a declared covariate of {study}")
 
 
-_JSON_TYPES = {dict: "a JSON object", list: "a JSON list", str: "a string"}
+# a list may come as a tuple when the config is built in Python
+_LIST = (list, tuple)
+_JSON_TYPES = {dict: "a JSON object", _LIST: "a JSON list", str: "a string"}
 
 
-def _typed(value, json_type: type, path: str):
-    """``value`` itself, if it is of ``json_type``: dict, list or str."""
+def _typed(value, json_type, path: str):
+    """``value`` itself, if it is of ``json_type``: dict, _LIST or str."""
     if not isinstance(value, json_type):
         raise ConfigError(path, f"must be {_JSON_TYPES[json_type]}, got {value!r}")
     return value
@@ -166,7 +175,7 @@ def _parse_study(d, default: OutcomeModelSpec, path: str) -> OutcomeModelSpec:
     covariates = default.covariates
     if "covariates" in d:
         covariates = []
-        for i, cd in enumerate(_typed(d["covariates"], list, f"{path}.covariates")):
+        for i, cd in enumerate(_typed(d["covariates"], _LIST, f"{path}.covariates")):
             cpath = f"{path}.covariates[{i}]"
             _object(cd, ("name", "dist", "prognostic_coef", "interaction_coef"),
                     cpath, ("name", "dist"))
@@ -185,13 +194,10 @@ def _parse_study(d, default: OutcomeModelSpec, path: str) -> OutcomeModelSpec:
     return _spec(OutcomeModelSpec, path, covariates=tuple(covariates), **rates)
 
 
-def _integer(d: dict, key: str, default: int) -> int:
+def _integer(d: dict, key: str, default: int):
+    # an integral float such as 2000.0 is its integer; ScenarioConfig checks the rest
     value = d.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(key, f"must be an integer, got {value!r}")
-    return value
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 def parse_config(document: str | dict) -> ScenarioConfig:
@@ -214,15 +220,12 @@ def parse_config(document: str | dict) -> ScenarioConfig:
         _require_declared(name, "interaction.covariate", study_A, study_B)
         study_A = _with_interaction(study_A, name, coef)
         study_B = _with_interaction(study_B, name, coef)
-    balance_set = d.get("balance_set", list(ScenarioConfig.balance_set))
-    # arguments are read in the order written, so errors come in this order
     return ScenarioConfig(
         n=_integer(d, "n", DEFAULT_N),
         seed=_integer(d, "seed", DEFAULT_SEED),
         study_A=study_A,
         study_B=study_B,
-        balance_set=tuple(_typed(name, str, "balance_set")
-                          for name in _typed(balance_set, list, "balance_set")),
+        balance_set=d.get("balance_set", ScenarioConfig.balance_set),
     )
 
 
@@ -252,12 +255,10 @@ class ScenarioResult:
     balance: balance.BalanceReport
 
     def to_json(self) -> str:
+        estimates = ("marginal_AC_S1", "conditional_AC_S1", "marginal_BC_S2",
+                     "conditional_BC_S2", "maic_AC_S2")
         return json.dumps({
-            "marginal_AC_S1": json.loads(self.marginal_AC_S1.to_json()),
-            "conditional_AC_S1": json.loads(self.conditional_AC_S1.to_json()),
-            "marginal_BC_S2": json.loads(self.marginal_BC_S2.to_json()),
-            "conditional_BC_S2": json.loads(self.conditional_BC_S2.to_json()),
-            "maic_AC_S2": json.loads(self.maic_AC_S2.to_json()),
+            **{name: getattr(self, name).as_dict() for name in estimates},
             "ess": self.ess,
             "hr_ratio_marginal": self.hr_ratio_marginal,
             "hr_ratio_conditional": self.hr_ratio_conditional,
@@ -408,27 +409,29 @@ def replicate_appendix(seed: int = DEFAULT_SEED, n: int = DEFAULT_N) -> Replicat
 
     # scenarios 3 and 4: same covariates, outcomes re-simulated with an
     # age-by-treatment interaction in both studies
-    trial_A3 = with_outcomes(_with_interaction(cfg.study_A, "Age", 0.005),
-                             trial_A.X, trial_A.trt, stream)
+    trial_A3 = _stage("simulate_A_interaction", with_outcomes,
+                      _with_interaction(cfg.study_A, "Age", 0.005),
+                      trial_A.X, trial_A.trt, stream)
     # study B's outcomes under the interaction are unused; the draw keeps
     # the order of the stream
-    with_outcomes(_with_interaction(cfg.study_B, "Age", 0.005),
-                  trial_B.X, trial_B.trt, stream)
+    _stage("simulate_B_interaction", with_outcomes,
+           _with_interaction(cfg.study_B, "Age", 0.005), trial_B.X, trial_B.trt, stream)
 
     # scenarios 2-4 as (study-A trial, balance set), each weighted to
     # scenario 1's study-B summary
     prognostic = list(cfg.balance_set)
     (maic2, w2, _), (maic3, w3, _), (maic4, _, _) = (
-        _maic_estimate(trial, summary_B, names)
-        for trial, names in ((trial_A, ["PLNEN"]),
-                             (trial_A3, prognostic + ["Age"]),
-                             (trial_A3, ["Age"])))
+        _stage(f"weights_scenario{k}", _maic_estimate, trial, summary_B, names)
+        for k, trial, names in ((2, trial_A, ["PLNEN"]),
+                                (3, trial_A3, prognostic + ["Age"]),
+                                (4, trial_A3, ["Age"])))
 
     # simulation-based true marginal effects of the A-vs-C model in each
     # study population
     model_A_in_S2 = replace(cfg.study_A, covariates=cfg.study_B.covariates)
-    true_S1 = estimands.simulated_marginal_loghr(cfg.study_A, n, stream)
-    true_S2 = estimands.simulated_marginal_loghr(model_A_in_S2, n, stream)
+    truth = estimands.simulated_marginal_loghr
+    true_S1 = _stage("truth_S1", truth, cfg.study_A, n, stream)
+    true_S2 = _stage("truth_S2", truth, model_A_in_S2, n, stream)
 
     maic1, marginal_AC = s1.maic_AC_S2, s1.marginal_AC_S1
     combined_se = math.sqrt(maic1.se**2 + marginal_AC.se**2)

@@ -10,6 +10,7 @@ Poisson sampler.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Union
@@ -26,8 +27,10 @@ class RandomStream:
     """Deterministic uniform source with exact draw accounting."""
 
     def __init__(self, seed: int):
-        if not 0 <= int(seed) < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        # a float or a bool is refused, not truncated to another seed
+        if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+                or not 0 <= seed < 2**64):
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
         self.seed = int(seed)
         self._bits = np.random.Generator(np.random.PCG64(self.seed))
         self.draw_count = 0

@@ -53,8 +53,8 @@ def test_degenerate_bernoulli_all_ones():
 
 def test_duplicate_names_rejected():
     specs = [CovariateSpec("a", Bernoulli(0.5)), CovariateSpec("a", Bernoulli(0.5))]
-    with pytest.raises(ValueError):
-        simulate_covariates(specs, 10, RandomStream(0))
+    with pytest.raises(ValueError, match=r"duplicate covariate names: \['a', 'a'\]"):
+        OutcomeModelSpec(0.0, RATE, 0.0, specs)
 
 
 def test_linear_predictor_zero_model():
@@ -295,6 +295,10 @@ def test_csv_malformed_rows_rejected():
     rows = [line.rsplit(",", 1)[0] for line in text.splitlines()[1:]]
     with pytest.raises(ValueError, match="fields"):
         trial_from_csv(io.BytesIO(("\n".join([header, *rows]) + "\n").encode()))
+    # a header that names Age twice would leave the second Age column unread
+    twice = text.replace("PLNEN", "Age", 1)
+    with pytest.raises(ValueError, match="duplicate covariate names"):
+        trial_from_csv(io.BytesIO(twice.encode()))
 
 
 def test_csv_empty_text_rejected():

@@ -378,10 +378,30 @@ def test_robust_variance_requires_fit():
     rng = np.random.default_rng(16)
     data = random_sample(rng, n=50, p=2)
     fit = fit_cox(data)
-    cov = robust_variance(fit, data)
+    cov = robust_variance(fit)
     assert cov.shape == (2, 2)
     assert np.all(np.diag(cov) > 0)
     np.testing.assert_allclose(cov, cov.T, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:tied event times")
+def test_robust_variance_matches_brute_force_oracle():
+    # inv(I) (sum_i w_i^2 U_i U_i') inv(I), with I and U from the oracles at
+    # the fitted beta; every other sample has tied times
+    rng = np.random.default_rng(23)
+    for k in range(40):
+        data = random_sample(rng, n=30, p=2)
+        if k % 2:
+            data = SurvivalSample(np.round(data.time, 1) + 0.1, data.status, data.Z,
+                                  data.w)
+        fit = fit_cox(data)
+        assert fit.converged
+        args = (fit.beta, data.time, data.status, data.Z, data.w)
+        bread = np.linalg.inv(brute_force_information(*args))
+        uw = data.w[:, None] * brute_force_score_and_residuals(*args)[1]
+        expected = bread @ (uw.T @ uw) @ bread
+        error = np.max(np.abs(robust_variance(fit) - expected))
+        assert error <= 1e-10 * np.max(np.abs(expected))
 
 
 def test_non_finite_values_rejected():

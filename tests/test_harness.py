@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maicsim
-from maicsim import balance, cli, coxph, newton
+from maicsim import balance, cli, coxph, estimands, harness, newton
 from maicsim.balance import (
     TargetOutsideSupport,
     WeightsNotConverged,
@@ -334,6 +334,30 @@ def test_scenario_config_checks_its_own_n_and_seed():
         assert info.value.path == path
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n": "4"}, "n: must be an integer, got '4'"),
+    ({"n": 2000.0}, "n: must be an integer, got 2000.0"),
+    ({"n": True}, "n: must be an integer, got True"),
+    ({"seed": None}, "seed: must be an integer, got None"),
+    ({"seed": 1.5}, "seed: must be an integer, got 1.5"),
+    ({"seed": False}, "seed: must be an integer, got False"),
+    ({"balance_set": "PLNEN"}, "balance_set: must be a JSON list, got 'PLNEN'"),
+    ({"balance_set": ["PLNEN", 1]}, "balance_set: must be a string, got 1"),
+])
+def test_scenario_config_checks_its_own_types(kwargs, message):
+    # built without the parser, a wrong type is refused, not truncated or
+    # split into characters
+    with pytest.raises(ConfigError) as info:
+        ScenarioConfig(**kwargs)
+    assert str(info.value) == message
+
+
+def test_scenario_config_takes_numpy_integers_and_a_list():
+    cfg = ScenarioConfig(n=np.int64(2000), seed=np.uint64(11), balance_set=["PLNEN"])
+    assert (type(cfg.n), type(cfg.seed), cfg.balance_set) == (int, int, ("PLNEN",))
+    assert cfg == parse_config({"n": 2000, "seed": 11, "balance_set": ["PLNEN"]})
+
+
 KINDS = ("uniform01", "normal", "poisson", "bernoulli", "exponential")
 KEYS = ("seed", "n", "study_A", "study_B", "balance_set", "interaction",
         "treatment_log_hr", "baseline_rate", "censoring_rate", "covariates", "name",
@@ -369,11 +393,64 @@ def test_replicate_report_determinism_and_schema():
     assert "maic_hr_scenario4" in quantities
 
 
+def _fail_on_call(fn, call):
+    """``fn``, except that its ``call``-th call raises TargetOutsideSupport."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == call:
+            raise TargetOutsideSupport(f"forced failure of call {call}")
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("owner, name, call, stage", [
+    (harness, "with_outcomes", 1, "simulate_A_interaction"),
+    (harness, "with_outcomes", 2, "simulate_B_interaction"),
+    # the first weighting is scenario 1's, in run_scenario's own stage
+    (balance, "weight_to_means", 1, "weights"),
+    (balance, "weight_to_means", 2, "weights_scenario2"),
+    (balance, "weight_to_means", 3, "weights_scenario3"),
+    # weights_scenario4: test_replicate_appendix_failure_names_its_stage
+    (estimands, "simulated_marginal_loghr", 1, "truth_S1"),
+    (estimands, "simulated_marginal_loghr", 2, "truth_S2"),
+])
+def test_replicate_appendix_names_each_stage(monkeypatch, owner, name, call, stage):
+    monkeypatch.setattr(owner, name, _fail_on_call(getattr(owner, name), call))
+    with pytest.raises(StageError) as info:
+        replicate_appendix(seed=5, n=2000)
+    assert info.value.stage == stage
+    assert isinstance(info.value.__cause__, TargetOutsideSupport)
+
+
+def test_replicate_appendix_failure_names_its_stage(monkeypatch, capsys):
+    weight_to_means = balance.weight_to_means
+
+    def refuse_age_alone(X, targets, names):
+        if list(names) == ["Age"]:
+            raise TargetOutsideSupport("Age alone is refused")
+        return weight_to_means(X, targets, names)
+
+    monkeypatch.setattr(balance, "weight_to_means", refuse_age_alone)
+    with pytest.raises(StageError) as info:
+        replicate_appendix(seed=5, n=2000)
+    assert info.value.stage == "weights_scenario4"
+    assert isinstance(info.value.__cause__, TargetOutsideSupport)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["replicate-appendix", "--seed", "5", "--n", "2000"])
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err == ("maicsim replicate-appendix: pipeline stage 'weights_scenario4' "
+                   "failed: Age alone is refused\n")
+
+
 def test_each_trial_sorted_once_and_sandwich_built_when_read(monkeypatch):
     # every fit on a trial shares its one time order, and only a fit whose
     # robust SE is read builds the sandwich: the weighted MAIC fits
     counts = {"sorts": 0, "sandwiches": 0}
-    argsort, sandwich = np.argsort, coxph._sandwich
+    argsort, sandwich = np.argsort, coxph.robust_variance
 
     def counting_argsort(*args, **kwargs):
         counts["sorts"] += 1
@@ -384,7 +461,7 @@ def test_each_trial_sorted_once_and_sandwich_built_when_read(monkeypatch):
         return sandwich(*args)
 
     monkeypatch.setattr(np, "argsort", counting_argsort)
-    monkeypatch.setattr(coxph, "_sandwich", counting_sandwich)
+    monkeypatch.setattr(coxph, "robust_variance", counting_sandwich)
     run_scenario(parse_config(SMALL))
     assert counts == {"sorts": 2, "sandwiches": 1}
     counts.update(sorts=0, sandwiches=0)
@@ -402,7 +479,7 @@ def test_each_trial_sorted_once_and_sandwich_built_when_read(monkeypatch):
     se_robust = fit.se_robust
     assert fit.se_robust is se_robust and counts["sandwiches"] == 1
     assert np.array_equal(se_robust,
-                          np.sqrt(np.diag(coxph.robust_variance(fit, data))))
+                          np.sqrt(np.diag(coxph.robust_variance(fit))))
 
 
 def test_stage_annotation_on_failure():
@@ -592,6 +669,13 @@ def test_cli_input_failures_are_one_line_messages(tmp_path: Path):
     cases.append((["weights", "--ipd", str(good), "--targets",
                    write("targets_list.json", "[0.5]"), "--balance-set", "x"],
                   "targets: must be a JSON object, got [0.5]"))
+    # a header that names a covariate twice
+    twice = write("age_twice.csv", "subject_id,Age,Age,trt,time,status\n"
+                  "0,60,70,0,1.5,1\n1,65,75,1,2.5,1\n")
+    cases.append((["weights", "--ipd", twice, "--targets",
+                   write("age_targets.json", '{"Age": 65.0}'), "--balance-set", "Age"],
+                  "duplicate covariate names: ['Age', 'Age']"))
+    cases.append((["fit", "--data", twice], "duplicate covariate names"))
     src = str(Path(maicsim.__file__).parent.parent)
     for argv, fragment in cases:
         proc = subprocess.run([sys.executable, "-m", "maicsim.cli", *argv],

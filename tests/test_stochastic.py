@@ -190,10 +190,12 @@ def test_uniform01_spec():
 
 
 def test_bad_seed_rejected():
-    with pytest.raises(ValueError):
-        RandomStream(-1)
-    with pytest.raises(ValueError):
-        RandomStream(2**64)
+    # a float or a bool is refused, not truncated to seed 1
+    for seed in (-1, 2**64, 1.5, 1.0, True, "1", None):
+        with pytest.raises(ValueError, match="64-bit unsigned integer"):
+            RandomStream(seed)
+    assert RandomStream(np.uint64(7)).uniforms(3).tobytes() == \
+        RandomStream(7).uniforms(3).tobytes()
 
 
 def assert_ndtri_matches_scipy(y):
