@@ -2,10 +2,12 @@
 
 IPD covariates are centered on the target (aggregate) means, and the n x K
 array Xc that results is all the solver takes. Minimizing the convex
-objective Q(alpha) = sum_i exp(Xc_i . alpha) by Newton's method, with the
-analytic Hessian Xc' diag(w) Xc, yields tilting coefficients whose weights
-w_i = exp(Xc_i . alpha) satisfy the first-order moment condition: weighted
-IPD covariate means equal the target means.
+objective Q(alpha) = sum_i exp(Xc_i . alpha) by Newton's method, with its
+gradient Xc' w and Hessian Xc' diag(w) Xc, yields tilting coefficients whose
+weights w_i = exp(Xc_i . alpha) satisfy the first-order moment condition:
+weighted IPD covariate means equal the target means. No unit of a covariate
+changes the solve or the one test of a target outside the IPD's convex hull:
+weighted means that miss it by over 1e-6 of the column's largest |Xc|.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ import numpy as np
 from . import newton
 
 _MAX_EXPONENT = 700.0     # beyond this exp() overflows a double
-_DIVERGENCE_NORM = 50.0   # |alpha| beyond this: the targets are unreachable
 
 
 class TargetOutsideSupport(Exception):
     """The target means cannot be matched: outside the convex hull of the
-    IPD covariates, so the tilting coefficients diverge."""
+    IPD covariates, the weighted means stay short of them."""
 
 
 class WeightsNotConverged(Exception):
@@ -50,28 +51,13 @@ def center_covariates(X_ipd: np.ndarray, target_means) -> np.ndarray:
 
 
 def objective_and_gradient(alpha: np.ndarray, Xc: np.ndarray):
-    alpha = np.asarray(alpha, dtype=float)
-    e = Xc @ alpha
+    """Q(alpha), its gradient Xc' w and its Hessian Xc' diag(w) Xc, from one
+    w = exp(Xc alpha); (inf, nan, None) where an exponent would overflow."""
+    e = Xc @ np.asarray(alpha, dtype=float)
     if np.max(e, initial=-np.inf) > _MAX_EXPONENT:
-        return np.inf, np.full(Xc.shape[1], np.nan)
+        return np.inf, np.full(Xc.shape[1], np.nan), None
     w = np.exp(e)
-    return float(w.sum()), Xc.T @ w
-
-
-def _newton_terms(alpha: np.ndarray, Xc: np.ndarray):
-    """Q, its gradient and its Hessian Xc' diag(w) Xc."""
-    q, g = objective_and_gradient(alpha, Xc)
-    if not np.isfinite(q):
-        return q, g, None
-    w = np.exp(Xc @ alpha)
-    return q, g, Xc.T @ (w[:, None] * Xc)
-
-
-def _check_bound(alpha: np.ndarray):
-    if np.linalg.norm(alpha) > _DIVERGENCE_NORM:
-        raise TargetOutsideSupport(
-            "tilting coefficients diverged; target means lie outside the "
-            "convex hull of the IPD covariates")
+    return float(w.sum()), Xc.T @ w, Xc.T @ (w[:, None] * Xc)
 
 
 def estimate_weights(Xc: np.ndarray) -> MaicWeights:
@@ -81,18 +67,17 @@ def estimate_weights(Xc: np.ndarray) -> MaicWeights:
         raise ValueError("at least one covariate is required")
     if n <= K:
         raise ValueError(f"need n > K, got n={n}, K={K}")
-    alpha, _, grad, _, converged, iterations = newton.minimize(
-        lambda a: _newton_terms(a, Xc), K, _check_bound)
-    w = np.exp(Xc @ alpha)
-    # a vanishing gradient with collapsed weights is divergence in disguise,
-    # converged or not: the moment condition must hold relative to the weight
-    # total, and outside the hull the gap stays at the target's distance from it
+    alpha, q, grad, _, converged, iterations = newton.minimize(
+        lambda a: objective_and_gradient(a, Xc), K)
+    # outside the hull the weighted means stay at the target's distance from
+    # it, converged or not; each column is measured against its own spread
     with np.errstate(invalid="ignore", divide="ignore"):
-        rel_gap = np.max(np.abs(Xc.T @ w)) / w.sum()
+        rel_gap = np.max(np.abs(grad) / np.max(np.abs(Xc), axis=0)) / q
     if not rel_gap <= 1e-6:
         raise TargetOutsideSupport(
             f"weighted means miss the target means by up to {rel_gap:.3g}; "
             "target means lie outside the convex hull of the IPD covariates")
+    w = np.exp(Xc @ alpha)
     return MaicWeights(
         alpha=alpha,
         w=w,
@@ -114,8 +99,8 @@ def require_converged(weights: MaicWeights) -> MaicWeights:
 
 def effective_sample_size(w: np.ndarray) -> float:
     w = np.asarray(w, dtype=float)
-    if not np.all((w > 0) & (w < np.inf)):
-        raise ValueError("all weights must be finite and positive")
+    if not (w.size and np.all((w > 0) & (w < np.inf))):
+        raise ValueError("need at least one weight, all finite and positive")
     return float(w.sum() ** 2 / (w**2).sum())
 
 

@@ -63,9 +63,13 @@ class TrialData:
         object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
         if len(set(self.covariate_names)) != len(self.covariate_names):
             raise ValueError(f"duplicate covariate names: {list(self.covariate_names)}")
+        K = len(self.covariate_names)
+        if self.X.ndim != 2 or self.X.shape[1] != K or self.X.shape[0] < 1:
+            raise ValueError(f"X must be n x {K}, one column per covariate name "
+                             f"and n >= 1, got shape {self.X.shape}")
         n = self.X.shape[0]
-        if not (self.trt.shape[0] == self.time.shape[0] == self.status.shape[0] == n):
-            raise ValueError("parallel arrays must share the row count of X")
+        if any(a.shape != (n,) for a in (self.trt, self.time, self.status)):
+            raise ValueError(f"trt, time and status must be 1-D with the {n} rows of X")
         if not np.all(np.isfinite(self.X)):
             raise ValueError("all covariate values X must be finite")
         check_outcomes(self.time, self.status)
@@ -176,8 +180,6 @@ def covariate_means(trial: TrialData) -> np.ndarray:
 def summarize_aggregate(trial: TrialData) -> AggregateSummary:
     """What a trial publishes: each covariate's mean, and the treatment log
     hazard ratio of the unweighted univariable Cox fit with its model SE."""
-    if trial.n == 0:
-        raise ValueError("trial is empty")
     fit = require_converged(
         fit_cox(SurvivalSample(trial.time, trial.status, trial.trt,
                                order=trial.time_order)))

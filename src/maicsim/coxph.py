@@ -219,7 +219,7 @@ def fit_cox(data: SurvivalSample) -> CoxFit:
 
     try:
         beta, neg_loglik, neg_score, info, converged, iterations = newton.minimize(
-            evaluate, data.p, lambda beta: None)
+            evaluate, data.p)
         cov_model = np.linalg.inv(info)
     except np.linalg.LinAlgError as exc:
         raise SingularInformation(str(exc)) from exc

@@ -38,9 +38,12 @@ class EffectEstimate:
     def __post_init__(self):
         if self.scale not in (MARGINAL, CONDITIONAL):
             raise ValueError(f"unknown scale {self.scale!r}")
-        # se 0 is allowed so known truths can be expressed as estimates
-        if self.se < 0:
-            raise ValueError("se must be non-negative")
+        if not math.isfinite(self.log_hr):
+            raise ValueError(f"log_hr must be finite, got {self.log_hr}")
+        # se 0 is allowed so known truths can be expressed as estimates; the
+        # comparison is false for NaN
+        if not 0 <= self.se < math.inf:
+            raise ValueError(f"se must be finite and non-negative, got {self.se}")
 
     @property
     def hr(self) -> float:

@@ -13,14 +13,14 @@ MAX_ITERS = 50
 MAX_HALVINGS = 10
 
 
-def minimize(evaluate, k: int, check):
+def minimize(evaluate, k: int):
     """Minimize a convex objective over R^k from x = 0.
 
     ``evaluate(x)`` returns (value, gradient, Hessian), the value infinite or
     NaN where x is infeasible. A step that raises the value by more than the
     tolerance is halved up to ``MAX_HALVINGS`` times; if none is acceptable,
-    or after ``MAX_ITERS`` steps, the search stops unconverged. ``check(x)``
-    sees each accepted iterate and raises to abandon a diverging search.
+    or after ``MAX_ITERS`` steps, the search stops unconverged. Divergence is
+    the caller's to judge from what is returned: the solver has no bound on x.
     Returns (x, value, gradient, Hessian, converged, iterations) at the last
     accepted iterate; a singular Hessian raises ``np.linalg.LinAlgError``.
     """
@@ -44,7 +44,6 @@ def minimize(evaluate, k: int, check):
             return x, f, g, h, False, iterations
         converged = f - fc <= tol
         x, f, g, h = cand, fc, gc, hc
-        check(x)
         if converged:
             return x, f, g, h, True, iterations + 1
     return x, f, g, h, False, MAX_ITERS

@@ -133,15 +133,15 @@ def test_criterion_9_gradient_oracles():
         prob = center_covariates(rng.normal(size=(n, 2)),
                                  rng.normal(scale=0.2, size=2))
         alpha = rng.normal(scale=0.3, size=2)
-        _, g = objective_and_gradient(alpha, prob)
+        _, g, _ = objective_and_gradient(alpha, prob)
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
             fd_cox = (partial_loglik(beta + e, data)
                       - partial_loglik(beta - e, data)) / (2 * h)
             worst = max(worst, abs(grad[j] - fd_cox) / max(1.0, abs(fd_cox)))
-            qp, _ = objective_and_gradient(alpha + e, prob)
-            qm, _ = objective_and_gradient(alpha - e, prob)
+            qp, _, _ = objective_and_gradient(alpha + e, prob)
+            qm, _, _ = objective_and_gradient(alpha - e, prob)
             fd_q = (qp - qm) / (2 * h)
             worst = max(worst, abs(g[j] - fd_q) / max(1.0, abs(fd_q)))
     print(f"PASS: worst finite-difference relative error {worst:.2e} < 1e-6 "

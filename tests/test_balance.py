@@ -43,7 +43,7 @@ def test_center_dimension_mismatch():
 def test_objective_at_zero():
     rng = np.random.default_rng(1)
     prob = random_problem(rng)
-    q, g = objective_and_gradient(np.zeros(prob.shape[1]), prob)
+    q, g, _ = objective_and_gradient(np.zeros(prob.shape[1]), prob)
     assert q == pytest.approx(prob.shape[0], rel=1e-12)
     np.testing.assert_allclose(g, prob.sum(axis=0), rtol=1e-12)
 
@@ -54,28 +54,45 @@ def test_gradient_vs_finite_differences():
     for _ in range(100):
         prob = random_problem(rng, n=15, k=2)
         alpha = rng.normal(scale=0.3, size=2)
-        _, g = objective_and_gradient(alpha, prob)
+        _, g, _ = objective_and_gradient(alpha, prob)
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            qp, _ = objective_and_gradient(alpha + e, prob)
-            qm, _ = objective_and_gradient(alpha - e, prob)
+            qp, _, _ = objective_and_gradient(alpha + e, prob)
+            qm, _, _ = objective_and_gradient(alpha - e, prob)
             fd = (qp - qm) / (2 * h)
             assert abs(g[j] - fd) / max(1.0, abs(fd)) < 1e-6
 
 
+def test_hessian_vs_finite_differences_of_gradient():
+    rng = np.random.default_rng(12)
+    h = 1e-6
+    for _ in range(100):
+        prob = random_problem(rng, n=15, k=3)
+        alpha = rng.normal(scale=0.3, size=3)
+        _, _, hess = objective_and_gradient(alpha, prob)
+        for j in range(3):
+            e = np.zeros(3)
+            e[j] = h
+            _, gp, _ = objective_and_gradient(alpha + e, prob)
+            _, gm, _ = objective_and_gradient(alpha - e, prob)
+            fd = (gp - gm) / (2 * h)
+            assert np.max(np.abs(hess[:, j] - fd) / np.maximum(1.0, np.abs(fd))) < 1e-6
+
+
 def test_objective_overflow_guard():
     prob = center_covariates(np.array([[1000.0], [-1.0]]), [0.0])
-    q, g = objective_and_gradient(np.array([10.0]), prob)
+    q, g, hess = objective_and_gradient(np.array([10.0]), prob)
     assert q == np.inf
     assert np.all(np.isnan(g))
+    assert hess is None
 
 
 def test_closed_form_two_point_instance():
     # Xc = {-1, +2}: stationarity gives 2 exp(3 a) = 1, a = -ln(2)/3
     prob = center_covariates(np.array([[-1.0], [2.0]]), [0.0])
     expected = -math.log(2) / 3
-    _, g = objective_and_gradient(np.array([expected]), prob)
+    _, g, _ = objective_and_gradient(np.array([expected]), prob)
     assert abs(g[0]) < 1e-12
     weights = estimate_weights(prob)
     assert weights.converged
@@ -88,7 +105,7 @@ def test_bfgs_quadratic_bowl():
     def bowl(a):
         return float(np.sum((a - c) ** 2)), 2 * (a - c), 2 * np.eye(3)
 
-    alpha, _, _, _, converged, iterations = newton.minimize(bowl, 3, lambda a: None)
+    alpha, _, _, _, converged, iterations = newton.minimize(bowl, 3)
     assert converged and iterations <= 25
     np.testing.assert_allclose(alpha, c, atol=1e-8)
 
@@ -97,7 +114,7 @@ def test_bfgs_stationary_start():
     def bowl(a):
         return float(np.sum(a**2)), 2 * a, 2 * np.eye(2)
 
-    alpha, _, _, _, _, iterations = newton.minimize(bowl, 2, lambda a: None)
+    alpha, _, _, _, _, iterations = newton.minimize(bowl, 2)
     assert iterations == 0
     assert np.all(alpha == 0.0)
 
@@ -107,8 +124,8 @@ def test_bfgs_objective_non_increasing():
     prob = random_problem(rng)
     alpha = estimate_weights(prob).alpha
     # accepted iterates never increase Q, so the end is no worse than the start
-    q_final, _ = objective_and_gradient(alpha, prob)
-    q_start, _ = objective_and_gradient(np.zeros(prob.shape[1]), prob)
+    q_final, _, _ = objective_and_gradient(alpha, prob)
+    q_start, _, _ = objective_and_gradient(np.zeros(prob.shape[1]), prob)
     assert q_final <= q_start + 1e-12
 
 
@@ -149,8 +166,8 @@ def test_target_outside_support():
 
 def test_target_outside_hull_named_when_newton_stops_unconverged():
     # below every IPD value Newton moves alpha by about 1 / gap a step, so it
-    # stays inside the divergence bound and runs out of steps with a vanishing
-    # gradient, while the weighted mean stays at the edge of the hull
+    # runs out of steps with a vanishing gradient, while the weighted mean
+    # stays at the edge of the hull
     age = np.random.default_rng(3).normal(59.0, 1.0, size=(1000, 1))
     assert age.min() > 52.0
     with pytest.raises(TargetOutsideSupport, match="miss the target means"):
@@ -158,6 +175,27 @@ def test_target_outside_hull_named_when_newton_stops_unconverged():
     for target in (57.0, 59.0):
         weights = estimate_weights(center_covariates(age, [target]))
         assert weights.converged and weights.iterations < newton.MAX_ITERS
+
+
+def test_verdict_and_solve_do_not_depend_on_covariate_units():
+    # the moment condition and the Newton solve are free of each column's
+    # unit; so must be the test of a target outside the hull
+    rng = np.random.default_rng(13)
+    X = np.column_stack([rng.normal(size=200), rng.integers(0, 2, 200)])
+    inside = X.mean(axis=0) + np.array([0.3, 0.2])
+    outside = np.array([X[:, 0].mean(), 1.2])
+    base = estimate_weights(center_covariates(X, inside))
+    messages = set()
+    for scale in (1e-7, 1e-3, 1.0, 1e4):
+        s = np.array([1.0, scale])
+        weights = estimate_weights(center_covariates(X * s, inside * s))
+        assert weights.converged
+        assert weights.iterations == base.iterations
+        assert weights.ess == pytest.approx(base.ess, rel=1e-9)
+        with pytest.raises(TargetOutsideSupport, match="miss the target") as err:
+            estimate_weights(center_covariates(X * s, outside * s))
+        messages.add(str(err.value))
+    assert len(messages) == 1  # the same relative gap at every scale
 
 
 def test_no_covariates_rejected():
@@ -207,7 +245,7 @@ def test_ess_dominant_weight():
 
 
 def test_ess_rejects_nonpositive():
-    for w in ([1.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]):
+    for w in ([1.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], []):
         with pytest.raises(ValueError, match="finite and positive"):
             effective_sample_size(np.array(w))
 
@@ -232,9 +270,9 @@ def test_convexity_property(seed):
     a1 = rng.normal(scale=0.5, size=2)
     a2 = rng.normal(scale=0.5, size=2)
     t = rng.uniform(0.05, 0.95)
-    q1, _ = objective_and_gradient(a1, prob)
-    q2, _ = objective_and_gradient(a2, prob)
-    qm, _ = objective_and_gradient(t * a1 + (1 - t) * a2, prob)
+    q1, _, _ = objective_and_gradient(a1, prob)
+    q2, _, _ = objective_and_gradient(a2, prob)
+    qm, _, _ = objective_and_gradient(t * a1 + (1 - t) * a2, prob)
     assert qm <= t * q1 + (1 - t) * q2 + 1e-10
 
 

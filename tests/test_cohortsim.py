@@ -323,6 +323,21 @@ def test_trial_data_validation():
     with pytest.raises(ValueError):
         TrialData(("a",), np.ones((3, 1)), np.array([1.0, 0.0, 2.0]),
                   np.array([1.0, 1.0, 2.0]), np.array([1.0, 1.0, 1.0]))
+    # one column of X per name, at least one row, and 1-D outcome vectors
+    trt, time, status = np.array([1.0, 0.0, 0.0]), np.ones(3), np.ones(3)
+    for names, X in ((("a", "b"), np.ones((3, 1))), (("a",), np.ones((3, 2))),
+                     (("a",), np.ones(3)), (("a",), np.ones((3, 1, 1))),
+                     (("a",), np.ones((0, 1)))):
+        with pytest.raises(ValueError, match="X must be n x"):
+            TrialData(names, X, trt[:len(X)], time[:len(X)], status[:len(X)])
+    X = np.ones((3, 1))
+    for bad in (np.ones((3, 1)), np.ones(2), np.ones(4), np.ones((1, 3))):
+        for args in ((bad, time, status), (trt, bad, status), (trt, time, bad)):
+            with pytest.raises(ValueError, match="1-D with the 3 rows of X"):
+                TrialData(("a",), X, *args)
+    trial = TrialData(("a", "b"), np.ones((3, 2)), trt, time, status)
+    assert trial.n == 3 and trial.column("b").shape == (3,)
+    assert TrialData((), np.empty((3, 0)), trt, time, status).n == 3
 
 
 def test_non_finite_values_rejected():

@@ -75,6 +75,17 @@ def test_unknown_scale_rejected():
         EffectEstimate(0.0, 0.1, "something")
 
 
+def test_estimate_requires_finite_log_hr_and_se():
+    for log_hr, se, match in ((0.0, -0.1, "se must"), (0.0, math.nan, "se must"),
+                              (0.0, math.inf, "se must"),
+                              (math.nan, 0.1, "log_hr must"),
+                              (math.inf, 0.1, "log_hr must"),
+                              (-math.inf, 0.0, "log_hr must")):
+        with pytest.raises(ValueError, match=match):
+            EffectEstimate(log_hr, se, MARGINAL)
+    assert EffectEstimate(-0.3, 0.0, MARGINAL).ci95 == (-0.3, -0.3)
+
+
 def test_marginal_effect_all_equal_weights_matches_unweighted():
     trial = simulate_trial(study_A_model(), 2000, RandomStream(1))
     plain = marginal_effect(trial)
