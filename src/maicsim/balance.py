@@ -6,8 +6,8 @@ objective Q(alpha) = sum_i exp(Xc_i . alpha) by Newton's method, with its
 gradient Xc' w and Hessian Xc' diag(w) Xc, yields tilting coefficients whose
 weights w_i = exp(Xc_i . alpha) satisfy the first-order moment condition:
 weighted IPD covariate means equal the target means. No unit of a covariate
-changes the solve or the one test of a target outside the IPD's convex hull:
-weighted means that miss it by over 1e-6 of the column's largest |Xc|.
+changes the solve, the test of a singular start, or the one test of a target
+outside the IPD's hull: weighted means off by over 1e-6 of the column's largest |Xc|.
 """
 
 from __future__ import annotations

@@ -210,7 +210,12 @@ def _score_info(s: _SortedSample, beta: np.ndarray):
 
 
 def fit_cox(data: SurvivalSample) -> CoxFit:
-    """Damped Newton from beta = 0 on the negated partial log-likelihood."""
+    """Damped Newton from beta = 0 on the negated partial log-likelihood, once
+    no column of Z is constant: its information would be rounding noise."""
+    spread = np.ptp(data.Z, axis=0)
+    if not np.all(spread):
+        raise SingularInformation(f"column {np.argmin(spread)} of the design is "
+                                  "constant (column 0 is treatment)")
     s = _SortedSample(data)
 
     def evaluate(beta):
@@ -223,7 +228,7 @@ def fit_cox(data: SurvivalSample) -> CoxFit:
         cov_model = np.linalg.inv(info)
     except np.linalg.LinAlgError as exc:
         raise SingularInformation(str(exc)) from exc
-    remaining = np.abs(cov_model @ neg_score) * np.ptp(data.Z, axis=0)
+    remaining = np.abs(cov_model @ neg_score) * spread
     if converged and np.max(remaining) > _REMAINING_STEP_BOUND:
         raise MonotoneLikelihood(
             f"Newton converged {np.max(remaining):.3g} short in the linear "

@@ -9,6 +9,7 @@ any n, although rounding in an objective summed over n terms grows with n.
 import numpy as np
 
 REL_TOL = 1e-9
+PIVOT_TOL = np.finfo(float).eps ** 0.75  # R's coxph.control(toler.chol)
 MAX_ITERS = 50
 MAX_HALVINGS = 10
 
@@ -22,11 +23,17 @@ def minimize(evaluate, k: int):
     or after ``MAX_ITERS`` steps, the search stops unconverged. Divergence is
     the caller's to judge from what is returned: the solver has no bound on x.
     Returns (x, value, gradient, Hessian, converged, iterations) at the last
-    accepted iterate; a singular Hessian raises ``np.linalg.LinAlgError``.
+    accepted iterate. It raises ``np.linalg.LinAlgError`` if the Hessian at 0
+    has no Cholesky factor or a squared pivot at most ``PIVOT_TOL`` of its
+    diagonal entry: 1 - R^2 of a column on those before it, free of units.
     """
     x = np.zeros(k)
     f, g, h = evaluate(x)
-    if np.linalg.matrix_rank(h) < k:
+    try:
+        pivots = np.diag(np.linalg.cholesky(h)) ** 2
+    except np.linalg.LinAlgError:
+        pivots = np.full(k, np.nan)  # compares false, as a NaN pivot does
+    if not np.all(pivots > PIVOT_TOL * np.diag(h)):
         raise np.linalg.LinAlgError("singular Hessian at the start: a constant "
                                     "or collinear column")
     for iterations in range(MAX_ITERS):

@@ -179,23 +179,31 @@ def test_target_outside_hull_named_when_newton_stops_unconverged():
 
 def test_verdict_and_solve_do_not_depend_on_covariate_units():
     # the moment condition and the Newton solve are free of each column's
-    # unit; so must be the test of a target outside the hull
+    # unit; so must be the test of a target outside the hull and the test of
+    # a singular Hessian
     rng = np.random.default_rng(13)
     X = np.column_stack([rng.normal(size=200), rng.integers(0, 2, 200)])
     inside = X.mean(axis=0) + np.array([0.3, 0.2])
     outside = np.array([X[:, 0].mean(), 1.2])
-    base = estimate_weights(center_covariates(X, inside))
-    messages = set()
-    for scale in (1e-7, 1e-3, 1.0, 1e4):
-        s = np.array([1.0, scale])
-        weights = estimate_weights(center_covariates(X * s, inside * s))
-        assert weights.converged
-        assert weights.iterations == base.iterations
-        assert weights.ess == pytest.approx(base.ess, rel=1e-9)
-        with pytest.raises(TargetOutsideSupport, match="miss the target") as err:
-            estimate_weights(center_covariates(X * s, outside * s))
-        messages.add(str(err.value))
-    assert len(messages) == 1  # the same relative gap at every scale
+    # two related columns in units 10^6.8 apart give a Hessian of condition
+    # about 1e16; its pivots, each against its own diagonal, stay far from 0
+    x = rng.normal(size=200)
+    related = np.column_stack([x, x + 0.05 * rng.normal(size=200)])
+    problems = [(X, inside, outside, [[1.0, scale] for scale in (1e-7, 1e-3, 1.0, 1e4)]),
+                (related, related.mean(axis=0) + 0.3, related.mean(axis=0) + [0.3, 0.6],
+                 [[1.0, 1.0], [10**-3.9, 10**2.9], [10**2.9, 10**-3.9]])]
+    for X, inside, outside, scales in problems:
+        base = estimate_weights(center_covariates(X, inside))
+        messages = set()
+        for s in map(np.array, scales):
+            weights = estimate_weights(center_covariates(X * s, inside * s))
+            assert weights.converged
+            assert weights.iterations == base.iterations
+            assert weights.ess == pytest.approx(base.ess, rel=1e-9)
+            with pytest.raises(TargetOutsideSupport, match="miss the target") as err:
+                estimate_weights(center_covariates(X * s, outside * s))
+            messages.add(str(err.value))
+        assert len(messages) == 1  # the same relative gap at every scale
 
 
 def test_no_covariates_rejected():

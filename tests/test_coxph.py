@@ -338,10 +338,49 @@ def test_no_events_rejected():
         SurvivalSample(np.array([1.0, 2.0]), np.zeros(2), np.ones((2, 1)))
 
 
+def treatment_trial(rng, n):
+    """Times, 0/1 statuses, a 0/1 treatment and a normal covariate x."""
+    trt = (rng.random(n) < 0.5).astype(float)
+    x = rng.normal(size=n)
+    time = rng.exponential(1.0, n) * np.exp(-(0.5 * trt + 0.3 * x))
+    status = (rng.random(n) < 0.8).astype(float)
+    status[0] = 1.0
+    return time, status, trt, x
+
+
 def test_constant_column_rejected():
     data = SurvivalSample(np.array([1.0, 2.0, 3.0]), np.ones(3), np.ones((3, 1)))
     with pytest.raises(SingularInformation):
         fit_cox(data)
+    # beside treatment a constant's information is rounding noise of either
+    # sign, which no pivot test can judge; it is refused by its index
+    time, status, trt, _ = treatment_trial(np.random.default_rng(30), 2000)
+    for c in (0.3, 1.0):
+        with pytest.raises(SingularInformation, match="column 1 of the design is constant"):
+            fit_cox(SurvivalSample(time, status, np.column_stack([trt, np.full(2000, c)])))
+
+
+def test_affine_collinear_design_rejected():
+    # the partial likelihood is blind to a constant shift, so 2d + 5 beside d
+    # leaves a flat direction, not a diverging one
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        time, status, d, x = treatment_trial(rng, 300)
+        with pytest.raises(SingularInformation, match="collinear"):
+            fit_cox(SurvivalSample(time, status, np.column_stack([x, d, 2 * d + 5])))
+
+
+def test_fit_and_verdict_do_not_depend_on_covariate_units():
+    # a covariate recorded in other units gets a coefficient in the inverse
+    # units, the same Newton steps and the same verdict
+    time, status, trt, x = treatment_trial(np.random.default_rng(32), 500)
+    base = fit_cox(SurvivalSample(time, status, np.column_stack([trt, x])))
+    for scale in (1e-9, 1.0, 1e9):
+        fit = fit_cox(SurvivalSample(time, status, np.column_stack([trt, scale * x])))
+        assert fit.converged and fit.iterations == base.iterations
+        np.testing.assert_allclose(fit.beta * [1.0, scale], base.beta, rtol=1e-9)
+        with pytest.raises(SingularInformation):  # the same refusal of a copy
+            fit_cox(SurvivalSample(time, status, np.column_stack([trt, x, scale * x])))
 
 
 def test_separation_detected():

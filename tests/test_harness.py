@@ -496,6 +496,29 @@ def test_stage_annotation_on_failure():
     assert isinstance(info.value.__cause__, TargetOutsideSupport)
 
 
+def _constant_refr(p):
+    """A config whose study A has the default covariates, but Refr always p."""
+    covariates = [
+        {"name": "Age", "dist": {"kind": "normal", "mean": 69.3, "sd": 5.0}},
+        {"name": "PLNEN", "dist": {"kind": "poisson", "lam": 3.4},
+         "prognostic_coef": 1.0682},
+        {"name": "ISS", "dist": {"kind": "bernoulli", "p": 0.74},
+         "prognostic_coef": -0.6651},
+        {"name": "Refr", "dist": {"kind": "bernoulli", "p": p},
+         "prognostic_coef": 0.0825}]
+    return {"n": 5000, "seed": 11, "study_A": {"covariates": covariates}}
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_constant_covariate_fails_the_conditional_fit(p):
+    # a Refr of all 0 or all 1 cannot be adjusted for, whichever value it is
+    with pytest.raises(StageError) as info:
+        run_scenario(parse_config(_constant_refr(p)))
+    assert info.value.stage == "fit_conditional_A"
+    assert isinstance(info.value.__cause__, coxph.SingularInformation)
+    assert "column 3 of the design is constant" in str(info.value)
+
+
 @pytest.mark.parametrize("coef, censoring_rate",
                          [(-300.0, 0.0), (-300.0, 0.1 / 365), (300.0, 0.0)])
 def test_hazard_out_of_range_fails_in_simulation(coef, censoring_rate):
@@ -676,6 +699,11 @@ def test_cli_input_failures_are_one_line_messages(tmp_path: Path):
                    write("age_targets.json", '{"Age": 65.0}'), "--balance-set", "Age"],
                   "duplicate covariate names: ['Age', 'Age']"))
     cases.append((["fit", "--data", twice], "duplicate covariate names"))
+    # a covariate with one value in every row
+    refr = write("refr.json", json.dumps(_constant_refr(1.0)))
+    assert cli.main(["simulate", "--config", refr, "--out", str(tmp_path / "refr")]) == 0
+    cases.append((["fit", "--data", str(tmp_path / "refr" / "study_A.csv"),
+                   "--adjust", "ISS,Refr"], "column 2 of the design is constant"))
     src = str(Path(maicsim.__file__).parent.parent)
     for argv, fragment in cases:
         proc = subprocess.run([sys.executable, "-m", "maicsim.cli", *argv],
