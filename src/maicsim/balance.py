@@ -88,15 +88,6 @@ def estimate_weights(Xc: np.ndarray) -> MaicWeights:
     )
 
 
-def require_converged(weights: MaicWeights) -> MaicWeights:
-    """``weights`` itself, or ``WeightsNotConverged`` if Newton stopped early."""
-    if not weights.converged:
-        raise WeightsNotConverged(
-            f"weight estimate stopped unconverged after {weights.iterations} "
-            f"Newton steps (max |gradient| {weights.grad_norm:.3g})")
-    return weights
-
-
 def effective_sample_size(w: np.ndarray) -> float:
     w = np.asarray(w, dtype=float)
     if not (w.size and np.all((w > 0) & (w < np.inf))):
@@ -153,6 +144,9 @@ def weight_to_means(X_ipd: np.ndarray, target_means,
     """The MAIC weighting step: weights that match the means of ``X_ipd``'s
     columns to ``target_means``, refused unless Newton converged, and the
     balance they reach."""
-    weights = require_converged(estimate_weights(
-        center_covariates(X_ipd, target_means)))
+    weights = estimate_weights(center_covariates(X_ipd, target_means))
+    if not weights.converged:
+        raise WeightsNotConverged(
+            f"weight estimate stopped unconverged after {weights.iterations} "
+            f"Newton steps (max |gradient| {weights.grad_norm:.3g})")
     return weights, balance_report(X_ipd, weights.w, target_means, names)

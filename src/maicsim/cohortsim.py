@@ -1,10 +1,11 @@
-"""Simulation of randomized trial cohorts with exponential survival outcomes.
+"""Simulation of randomized trial cohorts with exponential survival outcomes,
+and their CSV files.
 
 Covariates are drawn independently from named marginal distributions, the
 linear predictor follows a proportional-hazards outcome model with optional
 treatment-by-covariate interactions, and event times are generated by
 inverse-transform of the conditional exponential law, with independent
-exponential censoring.
+exponential censoring. Nothing here fits a model; ``estimands`` does.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .coxph import SurvivalSample, check_outcomes, fit_cox, require_converged, time_order
+# fit_cox is unused here; the benchmark's hooks still patch this module's name
+from .coxph import check_outcomes, fit_cox, time_order  # noqa: F401
 from .stochastic import DistributionSpec, RandomStream, draw_variates, exponential_inverse
 
 
@@ -97,20 +99,6 @@ class TrialData:
         return np.column_stack([self.column(nm) for nm in names])
 
 
-@dataclass(frozen=True)
-class AggregateSummary:
-    """The 'Table 1' of an aggregate-level study: covariate means plus the
-    marginal treatment-effect summary. This is all of study B that an
-    anchored MAIC may use."""
-    covariate_names: tuple[str, ...]
-    means: np.ndarray
-    log_hr: float
-    se: float
-
-    def mean(self, name: str) -> float:
-        return float(self.means[self.covariate_names.index(name)])
-
-
 def simulate_covariates(specs, n: int, stream: RandomStream) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -175,20 +163,6 @@ def with_outcomes(model: OutcomeModelSpec, X: np.ndarray, trt: np.ndarray,
 def covariate_means(trial: TrialData) -> np.ndarray:
     """Each covariate's mean, summed column by column for every caller."""
     return np.array([trial.X[:, k].mean() for k in range(trial.X.shape[1])])
-
-
-def summarize_aggregate(trial: TrialData) -> AggregateSummary:
-    """What a trial publishes: each covariate's mean, and the treatment log
-    hazard ratio of the unweighted univariable Cox fit with its model SE."""
-    fit = require_converged(
-        fit_cox(SurvivalSample(trial.time, trial.status, trial.trt,
-                               order=trial.time_order)))
-    return AggregateSummary(
-        covariate_names=trial.covariate_names,
-        means=covariate_means(trial),
-        log_hr=float(fit.beta[0]),
-        se=float(fit.se_model[0]),
-    )
 
 
 # rows are formatted a block at a time, so only one block's values are ever

@@ -245,14 +245,6 @@ def fit_cox(data: SurvivalSample) -> CoxFit:
     )
 
 
-def require_converged(fit: CoxFit) -> CoxFit:
-    """``fit`` itself, or ``NotConverged`` if its Newton search stopped early."""
-    if not fit.converged:
-        raise NotConverged(f"Cox fit stopped unconverged after {fit.iterations} "
-                           f"Newton steps (max |score| {fit.score_norm:.3g})")
-    return fit
-
-
 def score_residuals(beta: np.ndarray, data: SurvivalSample) -> np.ndarray:
     """Per-subject score residuals U_i (weights excluded), n x p in input order.
 
@@ -276,5 +268,11 @@ def _residuals(s: _SortedSample, beta: np.ndarray) -> np.ndarray:
 def robust_variance(fit: CoxFit) -> np.ndarray:
     """Lin-Wei sandwich inv(I) (sum_i w_i^2 U_i U_i') inv(I), from the fit's
     own time order and inverse information."""
-    uw = fit._sorted.w * _residuals(fit._sorted, fit.beta)
-    return fit._bread @ (uw @ uw.T) @ fit._bread
+    w = fit._sorted.w
+    # weights c w give the same sandwich; w U over a power of two s near the
+    # largest weight, and the bread times s, are exact and keep (w U)^2 finite
+    s = np.ldexp(1.0, np.frexp(w.max())[1])
+    uw = w * _residuals(fit._sorted, fit.beta)
+    uw /= s
+    bread = fit._bread * s
+    return bread @ (uw @ uw.T) @ bread

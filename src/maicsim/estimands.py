@@ -1,9 +1,9 @@
-"""Marginal and conditional treatment-effect estimation and the anchored
-indirect comparison.
+"""Treatment-effect estimation: marginal and conditional effects, the
+aggregate summary a trial publishes, and the anchored indirect comparison.
 
-Every estimate carries its scale (marginal vs. conditional); combining
-estimates on different scales raises ScaleMismatch, since a hazard ratio is
-non-collapsible and the two scales are not interchangeable.
+Every Cox fit is made, and refused unless converged, in ``_fit``. Estimates
+carry their scale; combining a marginal with a conditional one raises
+ScaleMismatch, since a hazard ratio is non-collapsible.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohortsim import OutcomeModelSpec, TrialData, simulate_trial
-from .coxph import CoxFit, SurvivalSample, fit_cox, require_converged
+from .cohortsim import OutcomeModelSpec, TrialData, covariate_means, simulate_trial
+from .coxph import CoxFit, NotConverged, SurvivalSample, fit_cox
 from .stochastic import RandomStream
 
 MARGINAL = "marginal"
@@ -86,9 +86,12 @@ def _require_same_scale(d_AC: EffectEstimate, d_BC: EffectEstimate):
 
 def _fit(trial: TrialData, Z, weights: np.ndarray | None = None) -> CoxFit:
     """The converged Cox fit of ``trial``'s outcomes on ``Z``, in the
-    trial's one time order."""
-    return require_converged(fit_cox(SurvivalSample(
-        trial.time, trial.status, Z, weights, trial.time_order)))
+    trial's one time order; ``NotConverged`` if Newton stopped early."""
+    fit = fit_cox(SurvivalSample(trial.time, trial.status, Z, weights, trial.time_order))
+    if not fit.converged:
+        raise NotConverged(f"Cox fit stopped unconverged after {fit.iterations} "
+                           f"Newton steps (max |score| {fit.score_norm:.3g})")
+    return fit
 
 
 def marginal_effect(trial: TrialData, weights: np.ndarray | None = None,
@@ -109,6 +112,26 @@ def conditional_effect(trial: TrialData, adjustment_set,
     fit = _fit(trial, np.column_stack([trial.trt, *map(trial.column, adjustment_set)]))
     return EffectEstimate(float(fit.beta[0]), float(fit.se_model[0]),
                           CONDITIONAL, population)
+
+
+@dataclass(frozen=True)
+class AggregateSummary:
+    """The 'Table 1' of an aggregate-level study: covariate means plus the
+    marginal treatment-effect summary. This is all of study B that an
+    anchored MAIC may use."""
+    covariate_names: tuple[str, ...]
+    means: np.ndarray
+    effect: EffectEstimate
+
+    def mean(self, name: str) -> float:
+        return float(self.means[self.covariate_names.index(name)])
+
+
+def summarize_aggregate(trial: TrialData, population: str = "") -> AggregateSummary:
+    """What a trial publishes: each covariate's mean, and the marginal effect
+    of the unweighted univariable Cox fit with its model SE."""
+    return AggregateSummary(trial.covariate_names, covariate_means(trial),
+                            marginal_effect(trial, population=population))
 
 
 def simulated_marginal_loghr(model: OutcomeModelSpec, n: int,

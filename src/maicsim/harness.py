@@ -21,16 +21,8 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 from . import balance, estimands, stochastic
-from .cohortsim import (
-    AggregateSummary,
-    CovariateSpec,
-    OutcomeModelSpec,
-    TrialData,
-    simulate_trial,
-    summarize_aggregate,
-    with_outcomes,
-)
-from .estimands import MARGINAL, EffectEstimate, IndirectComparison
+from .cohortsim import CovariateSpec, OutcomeModelSpec, TrialData, simulate_trial, with_outcomes
+from .estimands import AggregateSummary, EffectEstimate, IndirectComparison, summarize_aggregate
 from .stochastic import Bernoulli, DistributionSpec, Normal, Poisson, RandomStream
 
 DEFAULT_SEED = 555
@@ -268,7 +260,7 @@ class ScenarioResult:
                 "ci95_lo": self.bucher.ci95[0],
                 "ci95_hi": self.bucher.ci95[1],
             },
-        }, indent=2) + "\n"
+        }, indent=2, allow_nan=False) + "\n"
 
 
 class StageError(RuntimeError):
@@ -314,10 +306,10 @@ def _run_core(cfg: ScenarioConfig, stream: RandomStream):
     Returns the result with the two trials and study B's summary, for
     callers that go on to further scenarios on the same data."""
     trial_A, trial_B = simulate_studies(cfg, stream)
-    summary_B = _stage("summarize_B", summarize_aggregate, trial_B)
+    summary_B = _stage("summarize_B", summarize_aggregate, trial_B, "S2")
     marginal_AC = _stage("fit_marginal_A", estimands.marginal_effect,
                          trial_A, population="S1")
-    marginal_BC = EffectEstimate(summary_B.log_hr, summary_B.se, MARGINAL, "S2")
+    marginal_BC = summary_B.effect
     conditional_AC = _stage("fit_conditional_A", estimands.conditional_effect,
                             trial_A, _prognostic_set(cfg.study_A), population="S1")
     # study B's IPD serves only this simulation-side quantity, never MAIC
@@ -380,12 +372,13 @@ class ReplicationReport:
             "seed": self.seed,
             "n": self.n,
             "rows": [
+                # an open bound is null: strict JSON has no Infinity
                 {"quantity": r.quantity, "ours": r.ours, "paper": r.paper,
-                 "tol": list(r.tol), "pass": r.passed}
+                 "tol": [b if math.isfinite(b) else None for b in r.tol], "pass": r.passed}
                 for r in self.rows
             ],
             "all_pass": self.all_pass,
-        }, indent=2) + "\n"
+        }, indent=2, allow_nan=False) + "\n"
 
     def to_tsv(self) -> str:
         lines = ["quantity\tours\tpaper\ttol_lo\ttol_hi\tpass"]

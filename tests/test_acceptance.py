@@ -37,8 +37,10 @@ def check(replication, quantity):
     row = replication["rows"][quantity]
     verdict = "PASS" if row["pass"] else "FAIL"
     paper = "" if row["paper"] is None else f" (paper {row['paper']:.7g})"
-    print(f"{verdict}: {quantity} = {row['ours']:.7g} in "
-          f"[{row['tol'][0]:.7g}, {row['tol'][1]:.7g}]{paper}")
+    # the JSON writes an open bound as null
+    lo, hi = row["tol"]
+    lo, hi = -math.inf if lo is None else lo, math.inf if hi is None else hi
+    print(f"{verdict}: {quantity} = {row['ours']:.7g} in [{lo:.7g}, {hi:.7g}]{paper}")
     assert row["pass"], row
 
 

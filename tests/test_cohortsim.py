@@ -16,13 +16,12 @@ from maicsim.cohortsim import (
     simulate_covariates,
     simulate_survival,
     simulate_trial,
-    summarize_aggregate,
     trial_from_csv,
     trial_to_csv,
     with_outcomes,
     write_trial_csv,
 )
-from maicsim.estimands import marginal_effect
+from maicsim.estimands import marginal_effect, summarize_aggregate
 from maicsim.stochastic import Bernoulli, Normal, Poisson, RandomStream
 
 from helpers import B_A, CENS_RATE, RATE, study_A_covariates, study_A_model
@@ -180,8 +179,8 @@ def test_summarize_aggregate_means_and_loghr():
     summary = summarize_aggregate(trial)
     assert summary.mean("Age") == pytest.approx(trial.column("Age").mean(), abs=1e-12)
     est = marginal_effect(trial)
-    assert summary.log_hr == pytest.approx(est.log_hr, abs=1e-12)
-    assert summary.se == pytest.approx(est.se, abs=1e-12)
+    assert summary.effect.log_hr == pytest.approx(est.log_hr, abs=1e-12)
+    assert summary.effect.se == pytest.approx(est.se, abs=1e-12)
 
 
 def test_summarize_constant_covariate_exact():

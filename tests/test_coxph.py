@@ -266,10 +266,13 @@ def test_closed_form_three_subject_fit():
 def test_weight_scaling_leaves_argmax_unchanged():
     rng = np.random.default_rng(10)
     data = random_sample(rng, n=60, p=2)
-    base = fit_cox(data).beta
-    for c in (0.5, 2.0, 10.0):
-        scaled = SurvivalSample(data.time, data.status, data.Z, c * data.w)
-        np.testing.assert_allclose(fit_cox(scaled).beta, base, atol=1e-7)
+    base = fit_cox(data)
+    # the robust SE too: at 1e-300 the squared weights underflow to 0, at
+    # 1e200 they overflow, unless the sandwich takes the scale out first
+    for c in (0.5, 2.0, 10.0, 1e-300, 1e200):
+        scaled = fit_cox(SurvivalSample(data.time, data.status, data.Z, c * data.w))
+        np.testing.assert_allclose(scaled.beta, base.beta, atol=1e-7)
+        np.testing.assert_allclose(scaled.se_robust, base.se_robust, rtol=1e-10)
 
 
 def test_treatment_recode_negates_coefficient():

@@ -14,15 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maicsim
-from maicsim import balance, cli, coxph, estimands, harness, newton
+from maicsim import balance, cli, cohortsim, coxph, estimands, harness, newton
 from maicsim.balance import (
     TargetOutsideSupport,
     WeightsNotConverged,
     center_covariates,
     estimate_weights,
 )
-from maicsim.cohortsim import summarize_aggregate, trial_from_csv
-from maicsim.estimands import marginal_effect
+from maicsim.cohortsim import trial_from_csv
+from maicsim.estimands import marginal_effect, summarize_aggregate
 from maicsim.harness import (
     ConfigError,
     ScenarioConfig,
@@ -386,7 +386,7 @@ def test_replicate_report_determinism_and_schema():
     a = replicate_appendix(seed=5, n=2000)
     b = replicate_appendix(seed=5, n=2000)
     assert a.to_json() == b.to_json()
-    parsed = json.loads(a.to_json())
+    parsed = json.loads(a.to_json(), parse_constant=_no_constant)
     assert {"quantity", "ours", "paper", "tol", "pass"} == set(parsed["rows"][0])
     quantities = [r["quantity"] for r in parsed["rows"]]
     assert "marginal_hr_AC_S1" in quantities
@@ -573,6 +573,24 @@ def test_unconverged_solvers_fail_loudly(monkeypatch, tmp_path: Path):
     assert info.value.code == 1
 
 
+def test_every_cox_fit_of_a_scenario_is_made_in_estimands(monkeypatch):
+    calls = []
+
+    def counted(data):
+        calls.append(None)
+        return coxph.fit_cox(data)
+
+    def refused(data):
+        raise AssertionError("the simulator fits no model")
+
+    monkeypatch.setattr(cohortsim, "fit_cox", refused)
+    monkeypatch.setattr(estimands, "fit_cox", counted)
+    run_scenario(parse_config(SMALL))
+    # study B's published effect, the marginal and conditional fits in each
+    # study and the weighted MAIC fit
+    assert len(calls) == 5
+
+
 def test_commands_that_draw_nothing_do_not_load_scipy(tmp_path: Path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(SMALL))
@@ -610,7 +628,7 @@ def test_commands_that_draw_do_not_load_scipy(tmp_path: Path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_input_failures_are_one_line_messages(tmp_path: Path):
+def test_cli_input_failures_are_one_line_messages(tmp_path: Path, capsys):
     config = tmp_path / "config.json"
     config.write_text('{"n": 3}')
     data = tmp_path / "study_A.csv"
@@ -704,17 +722,29 @@ def test_cli_input_failures_are_one_line_messages(tmp_path: Path):
     assert cli.main(["simulate", "--config", refr, "--out", str(tmp_path / "refr")]) == 0
     cases.append((["fit", "--data", str(tmp_path / "refr" / "study_A.csv"),
                    "--adjust", "ISS,Refr"], "column 2 of the design is constant"))
+
+    def check(argv, fragment, code, stderr):
+        assert code == 1, (argv, stderr)
+        assert "Traceback" not in stderr
+        assert stderr.startswith(f"maicsim {argv[0]}: "), stderr
+        assert stderr.count("\n") == 1, stderr
+        assert "\"" not in stderr, stderr
+        assert fragment in stderr, (argv, stderr)
+
+    # one case through the console entry point; every case in process, where
+    # a warning, which would print extra lines of stderr, is an error
     src = str(Path(maicsim.__file__).parent.parent)
+    argv, fragment = cases[0]
+    proc = subprocess.run([sys.executable, "-m", "maicsim.cli", *argv],
+                          capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, timeout=120)
+    check(argv, fragment, proc.returncode, proc.stderr)
     for argv, fragment in cases:
-        proc = subprocess.run([sys.executable, "-m", "maicsim.cli", *argv],
-                              capture_output=True, text=True,
-                              env={"PYTHONPATH": src}, timeout=120)
-        assert proc.returncode == 1, (argv, proc.stderr)
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith(f"maicsim {argv[0]}: "), proc.stderr
-        assert proc.stderr.count("\n") == 1, proc.stderr
-        assert "\"" not in proc.stderr, proc.stderr
-        assert fragment in proc.stderr, (argv, proc.stderr)
+        capsys.readouterr()
+        with warnings.catch_warnings(), pytest.raises(SystemExit) as info:
+            warnings.simplefilter("error")
+            cli.main(argv)
+        check(argv, fragment, info.value.code, capsys.readouterr().err)
 
 
 def test_cli_simulate_weights_fit(tmp_path: Path, capsys):
