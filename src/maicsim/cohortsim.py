@@ -20,7 +20,8 @@ import numpy as np
 
 # fit_cox is unused here; the benchmark's hooks still patch this module's name
 from .coxph import check_outcomes, fit_cox, time_order  # noqa: F401
-from .stochastic import DistributionSpec, RandomStream, draw_variates, exponential_inverse
+from .stochastic import (UNIFORM_RANGE, DistributionSpec, RandomStream, draw_variates,
+                         drawn_range, exponential_inverse)
 
 
 @dataclass(frozen=True)
@@ -120,6 +121,42 @@ def linear_predictor(X: np.ndarray, trt: np.ndarray, model: OutcomeModelSpec) ->
     return X @ b + (model.treatment_log_hr + X @ b_int) * trt
 
 
+def _hazard_range_error(model: OutcomeModelSpec, where: str) -> ValueError:
+    names = [c.name for c in model.covariates if c.prognostic_coef or c.interaction_coef]
+    return ValueError(
+        f"the event hazard baseline_rate * exp(linear predictor) under- or "
+        f"overflows {where}; covariates with non-zero coefficients: "
+        f"{', '.join(names) or 'none'}")
+
+
+def check_hazard_range(model: OutcomeModelSpec) -> None:
+    """ValueError if a latent event time can be 0 or inf, tested before any
+    draw where every covariate with a coefficient has bounded draws: at the
+    stream's extreme uniforms and each arm's extreme linear predictors.
+    Otherwise ``simulate_survival`` tests the times it draws."""
+    ranges = []
+    for c in model.covariates:
+        bounds = drawn_range(c.marginal)
+        if bounds is None and (c.prognostic_coef or c.interaction_coef):
+            return
+        ranges.append(bounds or (0.0, 0.0))
+    lo, hi = np.array(ranges).reshape(-1, 2).T
+    b = np.array([c.prognostic_coef for c in model.covariates])
+    b_int = np.array([c.interaction_coef for c in model.covariates])
+    # coefficients near the double range may overflow, and inf - inf is NaN,
+    # which fails the test below as 0 and inf do
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rows = []
+        for arm in (0.0, 1.0):
+            up = b + arm * b_int > 0
+            rows += [np.where(up, lo, hi), np.where(up, hi, lo)]
+        lp = linear_predictor(np.array(rows).reshape(4, -1), [0.0, 0.0, 1.0, 1.0], model)
+        t = exponential_inverse(np.array(UNIFORM_RANGE)[:, None],
+                                model.baseline_rate * np.exp(lp))
+        if not np.all((t > 0) & (t < np.inf)):
+            raise _hazard_range_error(model, "at the extreme draws")
+
+
 def simulate_survival(lp: np.ndarray, model: OutcomeModelSpec, stream: RandomStream):
     lp = np.asarray(lp, dtype=float)
     n = lp.shape[0]
@@ -130,12 +167,7 @@ def simulate_survival(lp: np.ndarray, model: OutcomeModelSpec, stream: RandomStr
         tlat = exponential_inverse(stream.uniforms(n), model.baseline_rate * np.exp(lp))
         bad = np.count_nonzero(~((tlat > 0) & (tlat < np.inf)))
         if bad:
-            names = [c.name for c in model.covariates
-                     if c.prognostic_coef or c.interaction_coef]
-            raise ValueError(
-                f"the event hazard baseline_rate * exp(linear predictor) under- or "
-                f"overflows for {bad} of {n} subjects; covariates with non-zero "
-                f"coefficients: {', '.join(names) or 'none'}")
+            raise _hazard_range_error(model, f"for {bad} of {n} subjects")
         if model.censoring_rate == 0:
             return tlat, np.ones(n)
         cens = exponential_inverse(stream.uniforms(n), model.censoring_rate)

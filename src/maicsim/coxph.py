@@ -10,6 +10,7 @@ Lin-Wei robust sandwich built from per-subject score residuals.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -118,6 +119,25 @@ class SurvivalSample:
         return self.Z.shape[1]
 
 
+# each thread's one reused float64 array for the evaluations of ``risk_sums``
+_scratch = threading.local()
+
+
+def _buffers(n: int, p: int, subject_major: bool):
+    """Five n-vectors and two p x n arrays, views into this thread's scratch:
+    5 n + 2 p n doubles, grown to the largest fit the thread has run and
+    reused by every later one. Nothing this module returns aliases it.
+    ``subject_major`` stores the p x n arrays as n x p in memory."""
+    size = (5 + 2 * p) * n
+    if getattr(_scratch, "buf", None) is None or _scratch.buf.size < size:
+        _scratch.buf = None  # the smaller array goes before the larger is made
+        _scratch.buf = np.empty(size)
+    buf = _scratch.buf
+    mats = buf[5 * n:size]
+    mats = mats.reshape(2, n, p).transpose(0, 2, 1) if subject_major else mats.reshape(2, p, n)
+    return (*buf[:5 * n].reshape(5, n), *mats)
+
+
 class _SortedSample:
     """The sample in descending time order with covariates stored p x n, so
     that the risk-set sums S0 and S1 are forward cumulative sums over
@@ -133,36 +153,58 @@ class _SortedSample:
         self.z = np.ascontiguousarray(data.Z.T).take(self.order, axis=1)
         self.w_event = np.where(self.d == 1, self.w, 0.0)
         # event positions in ascending time, the order the log-likelihood sums
-        self.events = np.flatnonzero(self.d)[::-1]
-        # subject i's risk set runs through the last position sharing its time;
-        # the events at or before its time start at the first such position
+        self.events = np.flatnonzero(self.d)[::-1].copy()  # np.take copies a view
+        # subject i's risk set runs through the last position sharing its
+        # time; the events at or before its time start at the first such
+        # position, which ``first`` counts from the end, as the reversed
+        # cumulative sums of ``events_through`` hold it
         new = t[1:] != t[:-1]
         self.first = self.last = None
         if not np.all(new):
             warnings.warn("tied event times present; using Breslow tie handling")
             group = np.concatenate(([0], np.cumsum(new)))
             bounds = np.flatnonzero(np.concatenate(([True], new, [True])))
-            self.first = bounds[:-1][group]
+            self.first = t.shape[0] - 1 - bounds[:-1][group]
             self.last = bounds[1:][group] - 1
 
-    def at_risk(self, x: np.ndarray) -> np.ndarray:
-        """Sums of ``x`` (along its last axis) over each subject's risk set."""
-        sums = np.cumsum(x, axis=-1)
-        return sums if self.last is None else sums[..., self.last]
+    # Each sum below writes its cumulative sums to ``sums`` and, with tied
+    # times, gathers them into ``gathered``; it returns the result and the
+    # one of the two it leaves free. ``gathered`` may be ``x`` itself. With
+    # tied times the p x n arrays are subject-major, so that each gather
+    # moves whole rows of p along axis 0 of the transposes; the layout also
+    # sets the rounding of the BLAS products, which the tests pin bit for
+    # bit. The gathers clip because ``mode="raise"`` buffers its output.
 
-    def events_through(self, a: np.ndarray) -> np.ndarray:
-        """Sums of ``a`` (along its last axis, zero off events) over the events
+    def at_risk(self, x: np.ndarray, sums: np.ndarray, gathered: np.ndarray):
+        """Sums of ``x`` (along its last axis) over each subject's risk set."""
+        x.cumsum(axis=-1, out=sums)
+        if self.last is None:
+            return sums, gathered
+        sums.T.take(self.last, axis=0, out=gathered.T, mode="clip")
+        return gathered, sums
+
+    def events_through(self, x: np.ndarray, sums: np.ndarray, gathered: np.ndarray):
+        """Sums of ``x`` (along its last axis, zero off events) over the events
         at or before each subject's time."""
-        sums = np.cumsum(a[..., ::-1], axis=-1)[..., ::-1]
-        return sums if self.first is None else sums[..., self.first]
+        x[..., ::-1].cumsum(axis=-1, out=sums)
+        if self.first is None:
+            return sums[..., ::-1], gathered
+        sums.T.take(self.first, axis=0, out=gathered.T, mode="clip")
+        return gathered, sums
 
     def risk_sums(self, beta: np.ndarray):
-        """eta, the risk scores w exp(eta), S0 and S1 over each risk set, and
-        a = w / S0 at events (0 elsewhere)."""
-        eta = beta @ self.z
-        r = self.w * np.exp(eta)
-        s0 = self.at_risk(r)
-        return eta, r, s0, self.at_risk(r * self.z), self.w_event / s0
+        """eta, exp(eta), the risk scores r = w exp(eta), S0 and S1 over each
+        risk set, a = w / S0 at events (0 elsewhere) and a free p x n array,
+        all in this thread's scratch and overwritten by the next call."""
+        eta, expeta, r, v0, v1, m0, m1 = _buffers(*self.z.shape[::-1],
+                                                   self.last is not None)
+        np.matmul(beta, self.z, out=eta)
+        np.multiply(self.w, np.exp(eta, out=expeta), out=r)
+        s0, a = self.at_risk(r, v0, v1)
+        np.divide(self.w_event, s0, out=a)
+        # S1 is cumulated out of place: numpy would copy an in-place cumsum
+        s1, free = self.at_risk(np.multiply(r, self.z, out=m0), m1, m0)
+        return eta, expeta, r, s0, s1, a, free
 
 
 @dataclass
@@ -194,18 +236,23 @@ def score_and_information(beta: np.ndarray, data: SurvivalSample):
 
 
 def _score_info(s: _SortedSample, beta: np.ndarray):
-    eta, r, s0, s1, a = s.risk_sums(beta)
+    eta, expeta, r, s0, s1, a, tmp = s.risk_sums(beta)
     e = s.events
-    loglik = float(np.sum(s.w[e] * (eta[e] - np.log(s0[e]))))
-    # one p x n scratch array serves all three products. (Z - S1/S0) is
-    # formed before the product: sum_e w_e z_e - S1 a would cancel two large
-    # sums
-    tmp = s1 / s0
+    # sum_e w_e (eta_e - log S0_e), in the two free n-vectors eta and expeta
+    eta_e = eta.take(e, out=expeta[:e.size], mode="clip")
+    terms = np.log(s0.take(e, out=eta[:e.size], mode="clip"), out=eta[:e.size])
+    np.subtract(eta_e, terms, out=terms)
+    loglik = float(np.multiply(s.w.take(e, out=eta_e, mode="clip"), terms, out=terms).sum())
+    # one p x n array serves all three products. (Z - S1/S0) is formed before
+    # the product: sum_e w_e z_e - S1 a would cancel two large sums
+    np.divide(s1, s0, out=tmp)
     grad = np.subtract(s.z, tmp, out=tmp) @ s.w_event
     # sum_e w_e / S0(t_e) sum_{t_i >= t_e} r_i z_i z_i', summed by subject i
     # instead: G0_i sums w_e / S0(t_e) over the events up to t_i
-    info = np.multiply(s.z, r * s.events_through(a), out=tmp) @ s.z.T
-    info -= np.multiply(s1, a / s0, out=tmp) @ s1.T
+    g0, free = s.events_through(a, eta, expeta)
+    rg0 = np.multiply(r, g0, out=free)
+    info = np.multiply(s.z, rg0, out=tmp) @ s.z.T
+    info -= np.multiply(s1, np.divide(a, s0, out=rg0), out=tmp) @ s1.T
     return loglik, grad, info
 
 
@@ -257,12 +304,16 @@ def score_residuals(beta: np.ndarray, data: SurvivalSample) -> np.ndarray:
 
 
 def _residuals(s: _SortedSample, beta: np.ndarray) -> np.ndarray:
-    """Score residuals, p x n in the time order of ``s``."""
-    eta, _, s0, s1, a = s.risk_sums(beta)
-    zbar = s1 / s0
-    g0 = s.events_through(a)
-    g1 = s.events_through(a * zbar)
-    return s.d * (s.z - zbar) - np.exp(eta) * (g0 * s.z - g1)
+    """Score residuals, p x n in the time order of ``s``, in a new array."""
+    eta, expeta, r, s0, s1, a, zbar = s.risk_sums(beta)
+    np.divide(s1, s0, out=zbar)
+    g0, _ = s.events_through(a, eta, r)
+    # d (Z - zbar) - exp(eta) (G0 Z - G1), the first term in the result
+    out = np.empty(zbar.shape)
+    np.multiply(s.d, np.subtract(s.z, zbar, out=out), out=out)
+    g1, tmp = s.events_through(np.multiply(a, zbar, out=s1), zbar, s1)
+    np.subtract(np.multiply(g0, s.z, out=tmp), g1, out=tmp)
+    return np.subtract(out, np.multiply(expeta, tmp, out=tmp), out=out)
 
 
 def robust_variance(fit: CoxFit) -> np.ndarray:
@@ -272,7 +323,8 @@ def robust_variance(fit: CoxFit) -> np.ndarray:
     # weights c w give the same sandwich; w U over a power of two s near the
     # largest weight, and the bread times s, are exact and keep (w U)^2 finite
     s = np.ldexp(1.0, np.frexp(w.max())[1])
-    uw = w * _residuals(fit._sorted, fit.beta)
+    uw = _residuals(fit._sorted, fit.beta)
+    uw *= w
     uw /= s
     bread = fit._bread * s
     return bread @ (uw @ uw.T) @ bread

@@ -21,7 +21,8 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 from . import balance, estimands, stochastic
-from .cohortsim import CovariateSpec, OutcomeModelSpec, TrialData, simulate_trial, with_outcomes
+from .cohortsim import (CovariateSpec, OutcomeModelSpec, TrialData, check_hazard_range,
+                        simulate_trial, with_outcomes)
 from .estimands import AggregateSummary, EffectEstimate, IndirectComparison, summarize_aggregate
 from .stochastic import Bernoulli, DistributionSpec, Normal, Poisson, RandomStream
 
@@ -83,6 +84,9 @@ class ScenarioConfig:
         # published means
         for name in self.balance_set:
             _require_declared(name, "balance_set", self.study_A, self.study_B)
+        # a hazard out of range is refused here where the draws are bounded
+        for path in ("study_A", "study_B"):
+            _spec(check_hazard_range, path, model=getattr(self, path))
 
 
 def _name_list(names, path: str) -> tuple[str, ...]:
@@ -135,11 +139,11 @@ def _number(d: dict, key: str, default: float | None, path: str) -> float:
     return float(value)
 
 
-def _spec(cls, path: str, **params):
-    """``cls(**params)``, with a ValueError from its own checks reported at
+def _spec(make, path: str, **params):
+    """``make(**params)``, with a ValueError from its own checks reported at
     ``path``."""
     try:
-        return cls(**params)
+        return make(**params)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 

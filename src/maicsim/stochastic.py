@@ -21,6 +21,8 @@ _U53 = 1 << 53
 # (2**53 - 1 + 0.5) * 2**-53 rounds to 1.0; the largest double below 1 is
 # the stream's largest uniform
 _BELOW_ONE = np.nextafter(1.0, 0.0)
+# the least and the greatest uniform a stream returns
+UNIFORM_RANGE = (2.0**-54, float(_BELOW_ONE))
 
 
 class RandomStream:
@@ -88,6 +90,18 @@ class Exponential:
 
 
 DistributionSpec = Union[Uniform01, Normal, Poisson, Bernoulli, Exponential]
+
+
+def drawn_range(dist: DistributionSpec) -> tuple[float, float] | None:
+    """The least and the greatest value ``draw_variates`` can return for
+    ``dist`` where the draws are bounded (Uniform01, Bernoulli), else None."""
+    lo, hi = UNIFORM_RANGE
+    if isinstance(dist, Uniform01):
+        return lo, hi
+    if isinstance(dist, Bernoulli):
+        # a draw is 1 where its uniform is below p
+        return (0.0 if hi >= dist.p else 1.0), (1.0 if lo < dist.p else 0.0)
+    return None
 
 
 def exponential_inverse(u, rate):

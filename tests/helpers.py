@@ -1,6 +1,7 @@
-"""Shared builders for the appendix-style study population."""
+"""Shared builders for the appendix-style study population, and a memory probe."""
 
 import math
+import tracemalloc
 
 from maicsim.cohortsim import CovariateSpec, OutcomeModelSpec
 from maicsim.stochastic import Bernoulli, Normal, Poisson
@@ -22,3 +23,12 @@ def study_A_covariates():
 def study_A_model(censoring_rate=CENS_RATE, treatment_log_hr=B_A):
     return OutcomeModelSpec(treatment_log_hr, RATE, censoring_rate,
                             study_A_covariates())
+
+
+def peak_bytes(fn, *args):
+    """``fn(*args)`` and the peak of what it allocated while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,7 +1,6 @@
 import csv
 import io
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,7 +23,7 @@ from maicsim.cohortsim import (
 from maicsim.estimands import marginal_effect, summarize_aggregate
 from maicsim.stochastic import Bernoulli, Normal, Poisson, RandomStream
 
-from helpers import B_A, CENS_RATE, RATE, study_A_covariates, study_A_model
+from helpers import B_A, CENS_RATE, RATE, peak_bytes, study_A_covariates, study_A_model
 
 
 def small_trial(seed=3, n=400):
@@ -244,19 +243,10 @@ def test_csv_round_trip_extreme_values():
         assert got.tobytes() == want.tobytes()  # bit for bit, -0.0 included
 
 
-def _peak_bytes(fn, *args):
-    """``fn(*args)`` and the peak of what it allocated while it ran."""
-    tracemalloc.start()
-    try:
-        return fn(*args), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 # whole-column lists of Python floats, or a StringIO (4 bytes a character),
 # would take either call past its bound
 def test_csv_write_memory_is_a_small_multiple_of_the_text():
-    text, peak = _peak_bytes(trial_to_csv, small_trial(n=50_000, seed=27))
+    text, peak = peak_bytes(trial_to_csv, small_trial(n=50_000, seed=27))
     assert peak < 4 * len(text)
 
 
@@ -265,7 +255,7 @@ def test_csv_write_memory_does_not_grow_with_n(tmp_path):
     def peak(n):
         trial = small_trial(n=n, seed=27)
         with open(tmp_path / f"trial_{n}.csv", "w") as f:
-            return _peak_bytes(write_trial_csv, trial, f)[1]
+            return peak_bytes(write_trial_csv, trial, f)[1]
 
     assert peak(65_536) <= 1.5 * peak(16_384)
 
@@ -279,7 +269,7 @@ def test_write_trial_csv_is_the_text_of_trial_to_csv():
 
 def test_csv_read_memory_is_a_small_multiple_of_the_text():
     text = trial_to_csv(small_trial(n=50_000, seed=27))
-    _, peak = _peak_bytes(trial_from_csv, io.BytesIO(text.encode()))
+    _, peak = peak_bytes(trial_from_csv, io.BytesIO(text.encode()))
     assert peak < 5 * len(text)
 
 

@@ -1,10 +1,13 @@
 import math
-import tracemalloc
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from maicsim import coxph
 from maicsim.cohortsim import simulate_trial
 from maicsim.coxph import (
     MonotoneLikelihood,
@@ -20,7 +23,7 @@ from maicsim.coxph import (
 )
 from maicsim.stochastic import RandomStream
 
-from helpers import study_A_model
+from helpers import peak_bytes, study_A_model
 
 
 def three_subject_sample():
@@ -220,13 +223,10 @@ def test_design_rows_must_be_subjects():
         SurvivalSample(time, status, z[None, :])
 
 
-def _fit_peak_bytes(data):
-    tracemalloc.start()
-    try:
-        fit_cox(data)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def in_new_thread(fn, *args):
+    """``fn(*args)`` run in a thread of its own, whose Cox scratch starts empty."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args).result(timeout=120)
 
 
 def test_fit_memory_grows_linearly_in_covariates():
@@ -238,9 +238,146 @@ def test_fit_memory_grows_linearly_in_covariates():
     time = rng.exponential(1.0, n) + 0.01
     status = (rng.random(n) < 0.7).astype(float)
     Z = rng.normal(size=(n, 8))
-    small, large = (_fit_peak_bytes(SurvivalSample(time, status, Z[:, :p]))
+    # each fit in a new thread pays for its own scratch, whatever ran before
+    small, large = (peak_bytes(in_new_thread, fit_cox,
+                               SurvivalSample(time, status, Z[:, :p]))[1]
                     for p in (2, 8))
     assert large / small < 4
+
+
+class AllocatingKernel:
+    """The risk-set evaluation with every step allocating its result. The
+    scratch kernel makes the same operations in the same order, so it must
+    equal this bit for bit."""
+
+    def __init__(self, data):
+        self.order = data.order
+        t = data.time[self.order]
+        self.d = data.status[self.order]
+        self.w = data.w[self.order]
+        self.z = np.ascontiguousarray(data.Z.T).take(self.order, axis=1)
+        self.w_event = np.where(self.d == 1, self.w, 0.0)
+        self.events = np.flatnonzero(self.d)[::-1]
+        new = t[1:] != t[:-1]
+        self.first = self.last = None
+        if not np.all(new):
+            group = np.concatenate(([0], np.cumsum(new)))
+            bounds = np.flatnonzero(np.concatenate(([True], new, [True])))
+            self.first = bounds[:-1][group]
+            self.last = bounds[1:][group] - 1
+
+    def at_risk(self, x):
+        sums = np.cumsum(x, axis=-1)
+        return sums if self.last is None else sums[..., self.last]
+
+    def events_through(self, a):
+        sums = np.cumsum(a[..., ::-1], axis=-1)[..., ::-1]
+        return sums if self.first is None else sums[..., self.first]
+
+    def risk_sums(self, beta):
+        eta = beta @ self.z
+        r = self.w * np.exp(eta)
+        s0 = self.at_risk(r)
+        return eta, r, s0, self.at_risk(r * self.z), self.w_event / s0
+
+    def score_info(self, beta):
+        eta, r, s0, s1, a = self.risk_sums(beta)
+        e = self.events
+        loglik = float(np.sum(self.w[e] * (eta[e] - np.log(s0[e]))))
+        tmp = s1 / s0
+        grad = np.subtract(self.z, tmp, out=tmp) @ self.w_event
+        info = np.multiply(self.z, r * self.events_through(a), out=tmp) @ self.z.T
+        info -= np.multiply(s1, a / s0, out=tmp) @ s1.T
+        return loglik, grad, info
+
+    def residuals(self, beta):
+        """Score residuals, n x p in input order."""
+        eta, _, s0, s1, a = self.risk_sums(beta)
+        zbar = s1 / s0
+        g0 = self.events_through(a)
+        g1 = self.events_through(a * zbar)
+        out = np.empty((self.z.shape[1], self.z.shape[0]))
+        out[self.order] = (self.d * (self.z - zbar) - np.exp(eta) * (g0 * self.z - g1)).T
+        return out
+
+
+@pytest.mark.filterwarnings("ignore:tied event times")
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_scratch_kernel_matches_allocating_kernel_bitwise(p, weighted, tied):
+    rng = np.random.default_rng(100 * p + 10 * weighted + tied)
+    # a larger fit first, so that this one runs in a used, larger scratch;
+    # an odd n puts the scratch's rows at odd offsets
+    fit_cox(random_sample(rng, n=2001, p=p + 1))
+    data = random_sample(rng, n=1001, p=p, weighted=weighted)
+    if tied:
+        data = SurvivalSample(np.ceil(10 * data.time) / 10, data.status, data.Z, data.w)
+    ref = AllocatingKernel(data)
+    assert (ref.first is not None) == tied
+    for beta in (np.zeros(p), rng.normal(scale=0.5, size=p)):
+        loglik, grad, info = ref.score_info(beta)
+        assert partial_loglik(beta, data) == loglik
+        got_grad, got_info = score_and_information(beta, data)
+        assert np.array_equal(got_grad, grad)
+        assert np.array_equal(got_info, info)
+        assert np.array_equal(score_residuals(beta, data), ref.residuals(beta))
+
+
+def test_warm_score_evaluation_allocates_less_than_one_vector():
+    rng = np.random.default_rng(23)
+    n, p = 20_000, 4
+    s = coxph._SortedSample(random_sample(rng, n=n, p=p))
+    beta = rng.normal(scale=0.1, size=p)
+    coxph._score_info(s, beta)  # sizes this thread's scratch
+    _, peak = peak_bytes(coxph._score_info, s, beta)
+    assert peak < 8 * n
+
+
+def test_fit_results_do_not_alias_the_scratch():
+    rng = np.random.default_rng(29)
+    data = random_sample(rng, n=500, p=2)
+    at_once = fit_cox(data)
+    at_once_se = at_once.se_robust
+    late = fit_cox(data)
+    kept = {k: np.copy(getattr(late, k)) for k in ("beta", "se_model")}
+    # a second, larger fit grows this thread's scratch and overwrites it
+    fit_cox(random_sample(rng, n=5000, p=3))
+    assert np.array_equal(late.se_robust, at_once_se)
+    for k, value in kept.items():
+        assert np.array_equal(getattr(late, k), value)
+
+
+def _fit_summary(data):
+    fit = fit_cox(data)
+    return fit.beta, fit.se_model, fit.se_robust, fit.loglik_at_solution
+
+
+def test_concurrent_fits_equal_sequential_ones():
+    # each thread has its own scratch; four threads on two cores, two per
+    # sample, fit at the same time as each other. One covariate at n = 5000
+    # keeps every BLAS call of these fits single-threaded
+    rng = np.random.default_rng(31)
+    samples = [random_sample(rng, n=2000, p=3), random_sample(rng, n=5000, p=1)]
+    want = [_fit_summary(data) for data in samples]
+    barrier = threading.Barrier(4)
+
+    def fit_after_barrier(data):
+        barrier.wait(timeout=60)
+        return [_fit_summary(data) for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(fit_after_barrier, samples[k % 2]) for k in range(4)]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for k, runs in enumerate(got):
+        for run in runs:
+            for value, expected in zip(run, want[k % 2]):
+                assert np.array_equal(value, expected)
 
 
 def test_information_is_psd():

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maicsim
-from maicsim import balance, cli, cohortsim, coxph, estimands, harness, newton
+from maicsim import balance, cli, cohortsim, coxph, estimands, harness, newton, stochastic
 from maicsim.balance import (
     TargetOutsideSupport,
     WeightsNotConverged,
@@ -540,6 +540,48 @@ def test_hazard_out_of_range_fails_in_simulation(coef, censoring_rate):
     assert info.value.stage == "simulate_A"
     assert isinstance(info.value.__cause__, ValueError)
     assert "non-zero coefficients: PLNEN, Refr" in str(info.value)
+
+
+@pytest.mark.parametrize("dist, coef, refused", [
+    ({"kind": "bernoulli", "p": 0.74}, 800.0, True),
+    ({"kind": "bernoulli", "p": 0.74}, -800.0, True),
+    ({"kind": "uniform01"}, 800.0, True),
+    # p = 0 draws only 0, so its coefficient never reaches the hazard
+    ({"kind": "bernoulli", "p": 0.0}, 800.0, False),
+
+    ({"kind": "bernoulli", "p": 0.74}, 700.0, False),
+])
+def test_bounded_hazard_out_of_range_refused_when_parsed(monkeypatch, dist, coef, refused):
+    def no_draws(self, n):
+        raise AssertionError("parse_config drew from a stream")
+
+    monkeypatch.setattr(stochastic.RandomStream, "uniforms", no_draws)
+    covariates = [{"name": "ISS", "dist": dist, "prognostic_coef": coef},
+                  {"name": "Age", "dist": {"kind": "normal", "mean": 69.3, "sd": 9.0}}]
+    doc = {"study_B": {"covariates": covariates}, "balance_set": ["ISS"]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if not refused:
+            parse_config(doc)
+            return
+        with pytest.raises(ConfigError, match="under- or overflows at the extreme draws") as info:
+            parse_config(doc)
+    assert info.value.path == "study_B"
+    assert "non-zero coefficients: ISS" in str(info.value)
+
+
+def test_overflowing_linear_predictor_refused_without_warning():
+    # at ISS = Refr = 1 the control arm's linear predictor is inf and the
+    # treated arm's inf - inf = NaN
+    bern = {"kind": "bernoulli", "p": 0.5}
+    covariates = [{"name": name, "dist": bern, "prognostic_coef": 1.7e308,
+                   "interaction_coef": -1.7e308} for name in ("ISS", "Refr")]
+    doc = {"study_A": {"covariates": covariates}, "balance_set": ["ISS"]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="at the extreme draws") as info:
+            parse_config(doc)
+    assert info.value.path == "study_A"
 
 
 def test_unconverged_solvers_fail_loudly(monkeypatch, tmp_path: Path):

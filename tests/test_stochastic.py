@@ -11,8 +11,10 @@ from maicsim.stochastic import (
     Exponential,
     Normal,
     Poisson,
+    UNIFORM_RANGE,
     Uniform01,
     draw_variates,
+    drawn_range,
     exponential_inverse,
     RandomStream,
     ndtri,
@@ -48,6 +50,23 @@ def test_uniforms_below_one_at_the_largest_integer():
     assert s.uniforms(2).tolist() == [2.0**-54, np.nextafter(1.0, 0.0)]
     assert np.all(draw_variates(s, Exponential(1.0), 2) > 0)
     assert np.all(np.isfinite(draw_variates(s, Normal(0.0, 1.0), 2)))
+
+
+def test_drawn_range_is_the_draws_at_the_extreme_uniforms():
+    class Bits:
+        def integers(self, low, high, size, dtype):
+            return np.resize(np.array([0, 2**53 - 1], dtype=dtype), size)
+
+    s = RandomStream(7)
+    s._bits = Bits()
+    assert tuple(s.uniforms(2)) == UNIFORM_RANGE
+    # a p below the least uniform draws only 0, as p = 0 does
+    for dist in (Uniform01(), Bernoulli(0.0), Bernoulli(1e-20), Bernoulli(0.5),
+                 Bernoulli(1.0)):
+        x = draw_variates(s, dist, 2)
+        assert drawn_range(dist) == (x.min(), x.max())
+    for dist in (Normal(0.0, 1.0), Poisson(3.4), Exponential(1.0)):
+        assert drawn_range(dist) is None
 
 
 def test_reproducible_across_mixed_call_sequence():
