@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 # fit_cox is unused here; the benchmark's hooks still patch this module's name
-from .coxph import check_outcomes, fit_cox, time_order  # noqa: F401
+from .coxph import TimeOrder, check_outcomes, fit_cox  # noqa: F401
 from .stochastic import (UNIFORM_RANGE, DistributionSpec, RandomStream, draw_variates,
                          drawn_range, exponential_inverse)
 
@@ -84,10 +84,10 @@ class TrialData:
         return self.X.shape[0]
 
     @cached_property
-    def time_order(self) -> np.ndarray:
-        """``coxph.time_order`` of the times, sorted once and shared by every
-        Cox fit on this trial."""
-        return time_order(self.time)
+    def time_order(self) -> TimeOrder:
+        """The times' ``coxph.TimeOrder``: sorted and checked once, and shared
+        by every Cox fit on this trial."""
+        return TimeOrder(self.time, self.status)
 
     def column(self, name: str) -> np.ndarray:
         try:

@@ -59,112 +59,64 @@ def check_outcomes(time: np.ndarray, status: np.ndarray) -> None:
 def time_order(time: np.ndarray) -> np.ndarray:
     """Indices that sort ``time`` in descending order; tied subjects come in
     reverse input order, so the order is ascending stable order reversed."""
-    return np.argsort(time, kind="stable")[::-1]
+    return _sort(np.asarray(time))[0]
 
 
-@dataclass(frozen=True)
-class SurvivalSample:
-    """Outcomes and design of one fit. ``Z`` is n x p, or one covariate as a
-    vector. ``order`` is ``time_order(time)``, passed in so that every fit
-    on one trial shares a single sort; a given order is checked, not
-    trusted."""
+def _sort(time: np.ndarray):
+    """``time_order(time)``, and whether each time in that order differs from
+    the next. Untied times have one sorting order, which the default sort
+    finds faster than a stable one; only tied times are sorted again, stably."""
+    order = np.argsort(time)
+    t = time[order]
+    new = t[1:] != t[:-1]
+    if not np.all(new):
+        order = np.argsort(time, kind="stable")
+    return order[::-1], new[::-1]
 
-    time: np.ndarray
-    status: np.ndarray
-    Z: np.ndarray
-    w: np.ndarray | None = None
-    order: np.ndarray | None = None
 
-    def __post_init__(self):
-        time = np.asarray(self.time, dtype=float)
-        status = np.asarray(self.status, dtype=float)
-        Z = np.asarray(self.Z, dtype=float)
-        if Z.ndim == 1:
-            Z = Z[:, None]
-        w = np.ones(time.shape[0]) if self.w is None else np.asarray(self.w, dtype=float)
-        n = time.shape[0]
-        if Z.ndim != 2 or Z.shape[0] != n:
-            raise ValueError(f"Z must be n x p with n = {n} rows, got shape {Z.shape}")
-        if status.shape[0] != n or w.shape[0] != n:
-            raise ValueError("time, status, Z and w must have matching length")
+class TimeOrder:
+    """One trial's subjects in descending time order, with what every Cox fit
+    on the trial reads of it: the statuses in that order, the event positions
+    and the tie groups. It is built and checked once per trial and shared by
+    the trial's fits, each of which adds only its weights and design
+    (``_SortedSample``). A given ``order`` is checked, not trusted."""
+
+    def __init__(self, time: np.ndarray, status: np.ndarray,
+                 order: np.ndarray | None = None):
+        time = np.asarray(time, dtype=float)
+        status = np.asarray(status, dtype=float)
+        if time.ndim != 1 or status.shape != time.shape:
+            raise ValueError("time and status must be 1-D of matching length")
         check_outcomes(time, status)
-        if not np.all(np.isfinite(Z)):
-            raise ValueError("all covariate values Z must be finite")
-        if not np.all((w > 0) & (w < np.inf)):
-            raise ValueError("all weights must be finite and positive")
         if not np.any(status == 1):
             raise NoEvents("sample contains no events")
-        if self.order is None:
-            order = time_order(time)
+        n = time.shape[0]
+        if order is None:
+            order, new = _sort(time)
         else:
-            order = np.asarray(self.order)
+            order = np.asarray(order)
             if (order.shape != (n,) or order.dtype.kind not in "iu"
                     or np.any(np.bincount(order, minlength=n) != 1)):
                 raise ValueError("order must be a permutation of the n subjects")
             t = time[order]
             if np.any(t[1:] > t[:-1]):
                 raise ValueError("order does not sort the times in descending order")
-        object.__setattr__(self, "time", time)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "Z", Z)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "order", order)
-
-    @property
-    def n(self) -> int:
-        return self.time.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.Z.shape[1]
-
-
-# each thread's one reused float64 array for the evaluations of ``risk_sums``
-_scratch = threading.local()
-
-
-def _buffers(n: int, p: int, subject_major: bool):
-    """Five n-vectors and two p x n arrays, views into this thread's scratch:
-    5 n + 2 p n doubles, grown to the largest fit the thread has run and
-    reused by every later one. Nothing this module returns aliases it.
-    ``subject_major`` stores the p x n arrays as n x p in memory."""
-    size = (5 + 2 * p) * n
-    if getattr(_scratch, "buf", None) is None or _scratch.buf.size < size:
-        _scratch.buf = None  # the smaller array goes before the larger is made
-        _scratch.buf = np.empty(size)
-    buf = _scratch.buf
-    mats = buf[5 * n:size]
-    mats = mats.reshape(2, n, p).transpose(0, 2, 1) if subject_major else mats.reshape(2, p, n)
-    return (*buf[:5 * n].reshape(5, n), *mats)
-
-
-class _SortedSample:
-    """The sample in descending time order with covariates stored p x n, so
-    that the risk-set sums S0 and S1 are forward cumulative sums over
-    contiguous memory."""
-
-    def __init__(self, data: SurvivalSample):
-        self.order = data.order
-        t = data.time[self.order]
-        self.d = data.status[self.order]
-        self.w = data.w[self.order]
-        # gathering along the rows of a p x n copy is faster than transposing
-        # a gathered n x p array
-        self.z = np.ascontiguousarray(data.Z.T).take(self.order, axis=1)
-        self.w_event = np.where(self.d == 1, self.w, 0.0)
+            new = t[1:] != t[:-1]
+        # the arrays it was checked on: a sample of these very arrays takes
+        # it as it is
+        self.time, self.status, self.order = time, status, order
+        self.d = status[order]
         # event positions in ascending time, the order the log-likelihood sums
         self.events = np.flatnonzero(self.d)[::-1].copy()  # np.take copies a view
         # subject i's risk set runs through the last position sharing its
         # time; the events at or before its time start at the first such
         # position, which ``first`` counts from the end, as the reversed
         # cumulative sums of ``events_through`` hold it
-        new = t[1:] != t[:-1]
         self.first = self.last = None
         if not np.all(new):
-            warnings.warn("tied event times present; using Breslow tie handling")
             group = np.concatenate(([0], np.cumsum(new)))
             bounds = np.flatnonzero(np.concatenate(([True], new, [True])))
-            self.first = t.shape[0] - 1 - bounds[:-1][group]
+            self.first = n - 1 - bounds[:-1][group]
             self.last = bounds[1:][group] - 1
 
     # Each sum below writes its cumulative sums to ``sums`` and, with tied
@@ -192,18 +144,120 @@ class _SortedSample:
         sums.T.take(self.first, axis=0, out=gathered.T, mode="clip")
         return gathered, sums
 
+
+@dataclass(frozen=True)
+class SurvivalSample:
+    """Outcomes and design of one fit. ``Z`` is n x p, one covariate as a
+    vector, or a tuple of the p covariate vectors, which no copy joins.
+    ``order`` is ``time_order(time)`` or the ``TimeOrder`` of ``time`` and
+    ``status``, passed in so that every fit on one trial shares a single
+    sort and check; a given index order is checked, not trusted."""
+
+    time: np.ndarray
+    status: np.ndarray
+    Z: np.ndarray | tuple[np.ndarray, ...]
+    w: np.ndarray | None = None
+    order: np.ndarray | TimeOrder | None = None
+    # the design's p columns, as views where Z is an array, and the checked
+    # time order
+    columns: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    time_order: TimeOrder = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        time = np.asarray(self.time, dtype=float)
+        status = np.asarray(self.status, dtype=float)
+        n = time.shape[0]
+        if isinstance(self.Z, tuple):
+            Z = columns = tuple(np.asarray(z, dtype=float) for z in self.Z)
+            shape = [z.shape for z in Z]
+            rows = set(shape) <= {(n,)}
+        else:
+            Z = np.asarray(self.Z, dtype=float)
+            if Z.ndim == 1:
+                Z = Z[:, None]
+            shape = Z.shape
+            rows = Z.ndim == 2 and Z.shape[0] == n
+            columns = tuple(Z.T) if rows else ()
+        if not rows:
+            raise ValueError(f"Z must be n x p with n = {n} rows, got shape {shape}")
+        w = np.ones(n) if self.w is None else np.asarray(self.w, dtype=float)
+        if status.shape[0] != n or w.shape[0] != n:
+            raise ValueError("time, status, Z and w must have matching length")
+        times = self.order
+        if not (isinstance(times, TimeOrder) and times.time is time
+                and times.status is status):
+            # an index order, or the TimeOrder of other arrays, is checked here
+            times = TimeOrder(time, status,
+                              times.order if isinstance(times, TimeOrder) else times)
+        if not all(np.all(np.isfinite(z)) for z in columns):
+            raise ValueError("all covariate values Z must be finite")
+        if self.w is not None and not np.all((w > 0) & (w < np.inf)):
+            raise ValueError("all weights must be finite and positive")
+        object.__setattr__(self, "time", time)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "Z", Z)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "order", times.order)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "time_order", times)
+
+    @property
+    def n(self) -> int:
+        return self.time.shape[0]
+
+    @property
+    def p(self) -> int:
+        return len(self.columns)
+
+
+# each thread's one reused float64 array for the evaluations of ``risk_sums``
+_scratch = threading.local()
+
+
+def _buffers(n: int, p: int, subject_major: bool):
+    """Five n-vectors and two p x n arrays, views into this thread's scratch:
+    5 n + 2 p n doubles, grown to the largest fit the thread has run and
+    reused by every later one. Nothing this module returns aliases it.
+    ``subject_major`` stores the p x n arrays as n x p in memory."""
+    size = (5 + 2 * p) * n
+    if getattr(_scratch, "buf", None) is None or _scratch.buf.size < size:
+        _scratch.buf = None  # the smaller array goes before the larger is made
+        _scratch.buf = np.empty(size)
+    buf = _scratch.buf
+    mats = buf[5 * n:size]
+    mats = mats.reshape(2, n, p).transpose(0, 2, 1) if subject_major else mats.reshape(2, p, n)
+    return (*buf[:5 * n].reshape(5, n), *mats)
+
+
+class _SortedSample:
+    """What one fit adds to its trial's ``TimeOrder``: the weights in that
+    order and the design gathered into p x n rows, so that the risk-set sums
+    S0 and S1 are forward cumulative sums over contiguous memory."""
+
+    def __init__(self, data: SurvivalSample):
+        self.time_order = times = data.time_order
+        if times.last is not None:
+            warnings.warn("tied event times present; using Breslow tie handling")
+        self.w = data.w[times.order]
+        self.w_event = np.where(times.d == 1, self.w, 0.0)
+        # one gather per column, straight into its row
+        self.z = np.empty((data.p, data.n))
+        for column, row in zip(data.columns, self.z):
+            column.take(times.order, out=row, mode="clip")
+
     def risk_sums(self, beta: np.ndarray):
         """eta, exp(eta), the risk scores r = w exp(eta), S0 and S1 over each
         risk set, a = w / S0 at events (0 elsewhere) and a free p x n array,
         all in this thread's scratch and overwritten by the next call."""
+        times = self.time_order
         eta, expeta, r, v0, v1, m0, m1 = _buffers(*self.z.shape[::-1],
-                                                   self.last is not None)
+                                                   times.last is not None)
         np.matmul(beta, self.z, out=eta)
         np.multiply(self.w, np.exp(eta, out=expeta), out=r)
-        s0, a = self.at_risk(r, v0, v1)
+        s0, a = times.at_risk(r, v0, v1)
         np.divide(self.w_event, s0, out=a)
         # S1 is cumulated out of place: numpy would copy an in-place cumsum
-        s1, free = self.at_risk(np.multiply(r, self.z, out=m0), m1, m0)
+        s1, free = times.at_risk(np.multiply(r, self.z, out=m0), m1, m0)
         return eta, expeta, r, s0, s1, a, free
 
 
@@ -235,9 +289,18 @@ def score_and_information(beta: np.ndarray, data: SurvivalSample):
     return _score_info(_SortedSample(data), np.asarray(beta, dtype=float))[1:]
 
 
+def _by_row(ufunc, x: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``ufunc(x, v)`` into ``out``, for p x n ``x`` and ``out`` and an
+    n-vector ``v``, a row at a time: one call over the subject-major arrays of
+    tied times buffers its operands."""
+    for x_j, out_j in zip(x, out):
+        ufunc(x_j, v, out=out_j)
+    return out
+
+
 def _score_info(s: _SortedSample, beta: np.ndarray):
     eta, expeta, r, s0, s1, a, tmp = s.risk_sums(beta)
-    e = s.events
+    e = s.time_order.events
     # sum_e w_e (eta_e - log S0_e), in the two free n-vectors eta and expeta
     eta_e = eta.take(e, out=expeta[:e.size], mode="clip")
     terms = np.log(s0.take(e, out=eta[:e.size], mode="clip"), out=eta[:e.size])
@@ -245,25 +308,24 @@ def _score_info(s: _SortedSample, beta: np.ndarray):
     loglik = float(np.multiply(s.w.take(e, out=eta_e, mode="clip"), terms, out=terms).sum())
     # one p x n array serves all three products. (Z - S1/S0) is formed before
     # the product: sum_e w_e z_e - S1 a would cancel two large sums
-    np.divide(s1, s0, out=tmp)
-    grad = np.subtract(s.z, tmp, out=tmp) @ s.w_event
+    grad = np.subtract(s.z, _by_row(np.divide, s1, s0, tmp), out=tmp) @ s.w_event
     # sum_e w_e / S0(t_e) sum_{t_i >= t_e} r_i z_i z_i', summed by subject i
     # instead: G0_i sums w_e / S0(t_e) over the events up to t_i
-    g0, free = s.events_through(a, eta, expeta)
+    g0, free = s.time_order.events_through(a, eta, expeta)
     rg0 = np.multiply(r, g0, out=free)
     info = np.multiply(s.z, rg0, out=tmp) @ s.z.T
-    info -= np.multiply(s1, np.divide(a, s0, out=rg0), out=tmp) @ s1.T
+    info -= _by_row(np.multiply, s1, np.divide(a, s0, out=rg0), tmp) @ s1.T
     return loglik, grad, info
 
 
 def fit_cox(data: SurvivalSample) -> CoxFit:
     """Damped Newton from beta = 0 on the negated partial log-likelihood, once
     no column of Z is constant: its information would be rounding noise."""
-    spread = np.ptp(data.Z, axis=0)
+    s = _SortedSample(data)
+    spread = np.ptp(s.z, axis=1)
     if not np.all(spread):
         raise SingularInformation(f"column {np.argmin(spread)} of the design is "
                                   "constant (column 0 is treatment)")
-    s = _SortedSample(data)
 
     def evaluate(beta):
         loglik, grad, info = _score_info(s, beta)
@@ -299,21 +361,22 @@ def score_residuals(beta: np.ndarray, data: SurvivalSample) -> np.ndarray:
     """
     s = _SortedSample(data)
     out = np.empty((data.n, data.p))
-    out[s.order] = _residuals(s, np.asarray(beta, dtype=float)).T
+    out[s.time_order.order] = _residuals(s, np.asarray(beta, dtype=float)).T
     return out
 
 
 def _residuals(s: _SortedSample, beta: np.ndarray) -> np.ndarray:
     """Score residuals, p x n in the time order of ``s``, in a new array."""
     eta, expeta, r, s0, s1, a, zbar = s.risk_sums(beta)
-    np.divide(s1, s0, out=zbar)
-    g0, _ = s.events_through(a, eta, r)
+    _by_row(np.divide, s1, s0, zbar)
+    times = s.time_order
+    g0, _ = times.events_through(a, eta, r)
     # d (Z - zbar) - exp(eta) (G0 Z - G1), the first term in the result
     out = np.empty(zbar.shape)
-    np.multiply(s.d, np.subtract(s.z, zbar, out=out), out=out)
-    g1, tmp = s.events_through(np.multiply(a, zbar, out=s1), zbar, s1)
+    np.multiply(times.d, np.subtract(s.z, zbar, out=out), out=out)
+    g1, tmp = times.events_through(_by_row(np.multiply, zbar, a, s1), zbar, s1)
     np.subtract(np.multiply(g0, s.z, out=tmp), g1, out=tmp)
-    return np.subtract(out, np.multiply(expeta, tmp, out=tmp), out=out)
+    return np.subtract(out, _by_row(np.multiply, tmp, expeta, tmp), out=out)
 
 
 def robust_variance(fit: CoxFit) -> np.ndarray:

@@ -85,8 +85,9 @@ def _require_same_scale(d_AC: EffectEstimate, d_BC: EffectEstimate):
 
 
 def _fit(trial: TrialData, Z, weights: np.ndarray | None = None) -> CoxFit:
-    """The converged Cox fit of ``trial``'s outcomes on ``Z``, in the
-    trial's one time order; ``NotConverged`` if Newton stopped early."""
+    """The converged Cox fit of ``trial``'s outcomes on ``Z``, a covariate
+    vector or a tuple of them, sharing the trial's one ``TimeOrder``;
+    ``NotConverged`` if Newton stopped early."""
     fit = fit_cox(SurvivalSample(trial.time, trial.status, Z, weights, trial.time_order))
     if not fit.converged:
         raise NotConverged(f"Cox fit stopped unconverged after {fit.iterations} "
@@ -109,7 +110,7 @@ def marginal_effect(trial: TrialData, weights: np.ndarray | None = None,
 def conditional_effect(trial: TrialData, adjustment_set,
                        population: str = "") -> EffectEstimate:
     """Treatment coefficient of the Cox fit adjusted for the named covariates."""
-    fit = _fit(trial, np.column_stack([trial.trt, *map(trial.column, adjustment_set)]))
+    fit = _fit(trial, (trial.trt, *map(trial.column, adjustment_set)))
     return EffectEstimate(float(fit.beta[0]), float(fit.se_model[0]),
                           CONDITIONAL, population)
 

@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maicsim import coxph
 from maicsim.cohortsim import simulate_trial
@@ -14,6 +16,7 @@ from maicsim.coxph import (
     NoEvents,
     SingularInformation,
     SurvivalSample,
+    TimeOrder,
     fit_cox,
     partial_loglik,
     robust_variance,
@@ -212,6 +215,71 @@ def test_shared_time_order_is_checked():
             SurvivalSample(data.time, data.status, data.Z, data.w, bad)
 
 
+# times from a pool of four values tie in most draws; times from a
+# continuous range almost never do
+POOL_TIMES = st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.5]), min_size=1, max_size=40)
+CONTINUOUS_TIMES = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(POOL_TIMES, CONTINUOUS_TIMES))
+@example([2.0])
+@example([1.0] * 7)
+def test_time_order_is_reversed_stable_order(times):
+    t = np.array(times)
+    assert np.array_equal(time_order(t), np.argsort(t, kind="stable")[::-1])
+
+
+def test_only_tied_times_are_sorted_again_stably(monkeypatch):
+    # untied times have one sorting order, which the default sort finds; only
+    # tied times pay for a second, stable sort
+    kinds = []
+    argsort = np.argsort
+
+    def recording_argsort(*args, **kwargs):
+        kinds.append(kwargs.get("kind"))
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", recording_argsort)
+    rng = np.random.default_rng(40)
+    time = rng.exponential(1.0, 1000) + 0.01
+    status = np.ones(1000)
+    assert np.unique(time).size == 1000
+    TimeOrder(time, status)
+    assert kinds == [None]
+    kinds.clear()
+    TimeOrder(np.round(time, 1) + 0.1, status)
+    assert kinds == [None, "stable"]
+
+
+def test_time_order_of_other_arrays_is_checked():
+    rng = np.random.default_rng(41)
+    data = random_sample(rng, n=12, p=2)
+    shared = TimeOrder(data.time, data.status)
+    beta = np.array([0.3, -0.2])
+    # built on these very arrays it is taken as it is; on copies of them its
+    # order is checked, and on other times refused
+    for time in (data.time, data.time.copy()):
+        sample = SurvivalSample(time, data.status, data.Z, data.w, shared)
+        assert (sample.time_order is shared) == (time is data.time)
+        assert partial_loglik(beta, sample) == partial_loglik(beta, data)
+    with pytest.raises(ValueError, match="order"):
+        SurvivalSample(data.time[::-1].copy(), data.status, data.Z, data.w, shared)
+
+
+def test_design_columns_fit_as_the_design_array():
+    # a tuple of covariate vectors is the design whose columns they are
+    time, status, trt, x = treatment_trial(np.random.default_rng(42), 500)
+    by_columns = fit_cox(SurvivalSample(time, status, (trt, x)))
+    by_array = fit_cox(SurvivalSample(time, status, np.column_stack([trt, x])))
+    for key in ("beta", "se_model", "se_robust", "loglik_at_solution"):
+        assert np.array_equal(getattr(by_columns, key), getattr(by_array, key))
+    with pytest.raises(SingularInformation, match="column 1 of the design is constant"):
+        fit_cox(SurvivalSample(time, status, (trt, np.full(500, 0.3))))
+    with pytest.raises(ValueError, match="rows"):
+        SurvivalSample(time, status, (trt, x[:-1]))
+
+
 def test_design_rows_must_be_subjects():
     time, status = np.array([1.0, 2.0, 3.0]), np.ones(3)
     z = np.array([0.0, 1.0, 0.0])
@@ -332,6 +400,25 @@ def test_warm_score_evaluation_allocates_less_than_one_vector():
     coxph._score_info(s, beta)  # sizes this thread's scratch
     _, peak = peak_bytes(coxph._score_info, s, beta)
     assert peak < 8 * n
+
+
+@pytest.mark.filterwarnings("ignore:tied event times")
+@pytest.mark.parametrize("tied", [False, True])
+def test_warm_evaluations_allocate_nothing_of_length_n(tied):
+    # with tied times the p x n arrays are subject-major, where one ufunc call
+    # over such an array and an n-vector would buffer
+    rng = np.random.default_rng(24)
+    n, p = 20_000, 4
+    data = random_sample(rng, n=n, p=p)
+    if tied:
+        data = SurvivalSample(np.ceil(10 * data.time) / 10, data.status, data.Z)
+    s = coxph._SortedSample(data)
+    assert (s.time_order.last is not None) == tied
+    beta = rng.normal(scale=0.1, size=p)
+    coxph._score_info(s, beta)  # sizes this thread's scratch
+    assert peak_bytes(coxph._score_info, s, beta)[1] < 4096
+    # the residuals are returned in a new p x n array, and nothing else
+    assert peak_bytes(coxph._residuals, s, beta)[1] < 8 * n * p + 4096
 
 
 def test_fit_results_do_not_alias_the_scratch():

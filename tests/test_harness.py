@@ -21,7 +21,7 @@ from maicsim.balance import (
     center_covariates,
     estimate_weights,
 )
-from maicsim.cohortsim import trial_from_csv
+from maicsim.cohortsim import covariate_means, trial_from_csv
 from maicsim.estimands import marginal_effect, summarize_aggregate
 from maicsim.harness import (
     ConfigError,
@@ -480,6 +480,51 @@ def test_each_trial_sorted_once_and_sandwich_built_when_read(monkeypatch):
     assert fit.se_robust is se_robust and counts["sandwiches"] == 1
     assert np.array_equal(se_robust,
                           np.sqrt(np.diag(coxph.robust_variance(fit))))
+
+
+def test_each_trial_prepared_once_and_fits_equal_fresh_ones(monkeypatch):
+    # the time order, statuses, events and ties of a trial are built once and
+    # shared by its fits, which equal fits that share nothing bit for bit
+    built = []
+    init = coxph.TimeOrder.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(coxph.TimeOrder, "__init__", counting_init)
+    cfg = parse_config(SMALL)
+    result = run_scenario(cfg)
+    assert len(built) == 2
+    built.clear()
+    replicate_appendix(seed=5, n=2000)
+    assert len(built) == 5
+    monkeypatch.undo()
+
+    trial_A, trial_B = simulate_studies(cfg)
+    names = list(cfg.balance_set)
+    means_B = dict(zip(trial_B.covariate_names, covariate_means(trial_B)))
+    weights, _ = balance.weight_to_means(trial_A.columns(names),
+                                         [means_B[name] for name in names], names)
+
+    def fresh(trial, adjustment_set=(), w=None):
+        Z = np.column_stack([trial.trt, *map(trial.column, adjustment_set)])
+        fit = coxph.fit_cox(coxph.SurvivalSample(trial.time, trial.status, Z, w))
+        se = fit.se_model if w is None else fit.se_robust
+        return fit.beta[0], se[0]
+
+    prognostic = {study: [c.name for c in model.covariates if c.prognostic_coef]
+                  for study, model in (("A", cfg.study_A), ("B", cfg.study_B))}
+    expected = {
+        "marginal_AC_S1": fresh(trial_A),
+        "conditional_AC_S1": fresh(trial_A, prognostic["A"]),
+        "marginal_BC_S2": fresh(trial_B),
+        "conditional_BC_S2": fresh(trial_B, prognostic["B"]),
+        "maic_AC_S2": fresh(trial_A, w=weights.w),
+    }
+    for key, (log_hr, se) in expected.items():
+        estimate = getattr(result, key)
+        assert (estimate.log_hr, estimate.se) == (log_hr, se), key
 
 
 def test_stage_annotation_on_failure():
