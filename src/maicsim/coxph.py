@@ -56,16 +56,11 @@ def check_outcomes(time: np.ndarray, status: np.ndarray) -> None:
         raise ValueError("status must be 0/1")
 
 
-def time_order(time: np.ndarray) -> np.ndarray:
-    """Indices that sort ``time`` in descending order; tied subjects come in
-    reverse input order, so the order is ascending stable order reversed."""
-    return _sort(np.asarray(time))[0]
-
-
 def _sort(time: np.ndarray):
-    """``time_order(time)``, and whether each time in that order differs from
-    the next. Untied times have one sorting order, which the default sort
-    finds faster than a stable one; only tied times are sorted again, stably."""
+    """Indices that sort ``time`` in descending order, tied subjects in reverse
+    input order, and whether each time in that order differs from the next.
+    Untied times have one sorting order, which the default sort finds faster
+    than a stable one; only tied times are sorted again, stably."""
     order = np.argsort(time)
     t = time[order]
     new = t[1:] != t[:-1]
@@ -78,7 +73,7 @@ class TimeOrder:
     """One trial's subjects in descending time order, with what every Cox fit
     on the trial reads of it: the statuses in that order, the event positions
     and the tie groups. It is built and checked once per trial and shared by
-    the trial's fits, each of which adds only its weights and design
+    the trial's fits, each of which adds only its design and weights
     (``_SortedSample``). A given ``order`` is checked, not trusted."""
 
     def __init__(self, time: np.ndarray, status: np.ndarray,
@@ -95,16 +90,16 @@ class TimeOrder:
             order, new = _sort(time)
         else:
             order = np.asarray(order)
+            # a negative index names a subject to numpy, but not to bincount
             if (order.shape != (n,) or order.dtype.kind not in "iu"
+                    or order.min() < 0
                     or np.any(np.bincount(order, minlength=n) != 1)):
                 raise ValueError("order must be a permutation of the n subjects")
             t = time[order]
             if np.any(t[1:] > t[:-1]):
                 raise ValueError("order does not sort the times in descending order")
             new = t[1:] != t[:-1]
-        # the arrays it was checked on: a sample of these very arrays takes
-        # it as it is
-        self.time, self.status, self.order = time, status, order
+        self.order = order
         self.d = status[order]
         # event positions in ascending time, the order the log-likelihood sums
         self.events = np.flatnonzero(self.d)[::-1].copy()  # np.take copies a view
@@ -145,71 +140,6 @@ class TimeOrder:
         return gathered, sums
 
 
-@dataclass(frozen=True)
-class SurvivalSample:
-    """Outcomes and design of one fit. ``Z`` is n x p, one covariate as a
-    vector, or a tuple of the p covariate vectors, which no copy joins.
-    ``order`` is ``time_order(time)`` or the ``TimeOrder`` of ``time`` and
-    ``status``, passed in so that every fit on one trial shares a single
-    sort and check; a given index order is checked, not trusted."""
-
-    time: np.ndarray
-    status: np.ndarray
-    Z: np.ndarray | tuple[np.ndarray, ...]
-    w: np.ndarray | None = None
-    order: np.ndarray | TimeOrder | None = None
-    # the design's p columns, as views where Z is an array, and the checked
-    # time order
-    columns: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    time_order: TimeOrder = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        time = np.asarray(self.time, dtype=float)
-        status = np.asarray(self.status, dtype=float)
-        n = time.shape[0]
-        if isinstance(self.Z, tuple):
-            Z = columns = tuple(np.asarray(z, dtype=float) for z in self.Z)
-            shape = [z.shape for z in Z]
-            rows = set(shape) <= {(n,)}
-        else:
-            Z = np.asarray(self.Z, dtype=float)
-            if Z.ndim == 1:
-                Z = Z[:, None]
-            shape = Z.shape
-            rows = Z.ndim == 2 and Z.shape[0] == n
-            columns = tuple(Z.T) if rows else ()
-        if not rows:
-            raise ValueError(f"Z must be n x p with n = {n} rows, got shape {shape}")
-        w = np.ones(n) if self.w is None else np.asarray(self.w, dtype=float)
-        if status.shape[0] != n or w.shape[0] != n:
-            raise ValueError("time, status, Z and w must have matching length")
-        times = self.order
-        if not (isinstance(times, TimeOrder) and times.time is time
-                and times.status is status):
-            # an index order, or the TimeOrder of other arrays, is checked here
-            times = TimeOrder(time, status,
-                              times.order if isinstance(times, TimeOrder) else times)
-        if not all(np.all(np.isfinite(z)) for z in columns):
-            raise ValueError("all covariate values Z must be finite")
-        if self.w is not None and not np.all((w > 0) & (w < np.inf)):
-            raise ValueError("all weights must be finite and positive")
-        object.__setattr__(self, "time", time)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "Z", Z)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "order", times.order)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "time_order", times)
-
-    @property
-    def n(self) -> int:
-        return self.time.shape[0]
-
-    @property
-    def p(self) -> int:
-        return len(self.columns)
-
-
 # each thread's one reused float64 array for the evaluations of ``risk_sums``
 _scratch = threading.local()
 
@@ -230,19 +160,33 @@ def _buffers(n: int, p: int, subject_major: bool):
 
 
 class _SortedSample:
-    """What one fit adds to its trial's ``TimeOrder``: the weights in that
-    order and the design gathered into p x n rows, so that the risk-set sums
-    S0 and S1 are forward cumulative sums over contiguous memory."""
+    """What one fit adds to its trial's ``TimeOrder``, checked here: the
+    design's p >= 1 columns gathered into p x n rows, so that the risk-set
+    sums S0 and S1 are forward cumulative sums over contiguous memory, and
+    the weights in that order. Unweighted (``w`` None) it keeps no weights:
+    the event weights are the statuses and the risk scores exp(eta)."""
 
-    def __init__(self, data: SurvivalSample):
-        self.time_order = times = data.time_order
+    def __init__(self, times: TimeOrder, columns, w=None):
+        n = times.order.size
+        columns = [np.asarray(z, dtype=float) for z in columns]
+        if not columns or any(z.shape != (n,) for z in columns):
+            raise ValueError(f"need p >= 1 covariate columns of n = {n} values each")
+        if not all(np.all(np.isfinite(z)) for z in columns):
+            raise ValueError("all covariate values Z must be finite")
+        self.w, self.w_event = None, times.d
+        if w is not None:
+            w = np.asarray(w, dtype=float)
+            if not (w.shape == (n,) and np.all((w > 0) & (w < np.inf))):
+                raise ValueError("all weights must be finite and positive, one for "
+                                 f"each of the n = {n} subjects")
+            self.w = w[times.order]
+            self.w_event = np.where(times.d == 1, self.w, 0.0)
+        self.time_order = times
         if times.last is not None:
             warnings.warn("tied event times present; using Breslow tie handling")
-        self.w = data.w[times.order]
-        self.w_event = np.where(times.d == 1, self.w, 0.0)
         # one gather per column, straight into its row
-        self.z = np.empty((data.p, data.n))
-        for column, row in zip(data.columns, self.z):
+        self.z = np.empty((len(columns), n))
+        for column, row in zip(columns, self.z):
             column.take(times.order, out=row, mode="clip")
 
     def risk_sums(self, beta: np.ndarray):
@@ -253,7 +197,11 @@ class _SortedSample:
         eta, expeta, r, v0, v1, m0, m1 = _buffers(*self.z.shape[::-1],
                                                    times.last is not None)
         np.matmul(beta, self.z, out=eta)
-        np.multiply(self.w, np.exp(eta, out=expeta), out=r)
+        np.exp(eta, out=expeta)
+        if self.w is None:
+            np.copyto(r, expeta)
+        else:
+            np.multiply(self.w, expeta, out=r)
         s0, a = times.at_risk(r, v0, v1)
         np.divide(self.w_event, s0, out=a)
         # S1 is cumulated out of place: numpy would copy an in-place cumsum
@@ -279,14 +227,15 @@ class CoxFit:
         return np.sqrt(np.diag(robust_variance(self)))
 
 
-def partial_loglik(beta: np.ndarray, data: SurvivalSample) -> float:
-    return _score_info(_SortedSample(data), np.asarray(beta, dtype=float))[0]
+def partial_loglik(beta: np.ndarray, times: TimeOrder, columns, w=None) -> float:
+    """The partial log-likelihood at ``beta``, for the arguments of ``fit_cox``."""
+    return _score_info(_SortedSample(times, columns, w), np.asarray(beta, dtype=float))[0]
 
 
-def score_and_information(beta: np.ndarray, data: SurvivalSample):
-    """Analytic gradient and negative Hessian of the weighted partial
-    log-likelihood."""
-    return _score_info(_SortedSample(data), np.asarray(beta, dtype=float))[1:]
+def score_and_information(beta: np.ndarray, times: TimeOrder, columns, w=None):
+    """Analytic gradient and negative Hessian of the partial log-likelihood,
+    for the arguments of ``fit_cox``."""
+    return _score_info(_SortedSample(times, columns, w), np.asarray(beta, dtype=float))[1:]
 
 
 def _by_row(ufunc, x: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -305,7 +254,9 @@ def _score_info(s: _SortedSample, beta: np.ndarray):
     eta_e = eta.take(e, out=expeta[:e.size], mode="clip")
     terms = np.log(s0.take(e, out=eta[:e.size], mode="clip"), out=eta[:e.size])
     np.subtract(eta_e, terms, out=terms)
-    loglik = float(np.multiply(s.w.take(e, out=eta_e, mode="clip"), terms, out=terms).sum())
+    if s.w is not None:
+        np.multiply(s.w.take(e, out=eta_e, mode="clip"), terms, out=terms)
+    loglik = float(terms.sum())
     # one p x n array serves all three products. (Z - S1/S0) is formed before
     # the product: sum_e w_e z_e - S1 a would cancel two large sums
     grad = np.subtract(s.z, _by_row(np.divide, s1, s0, tmp), out=tmp) @ s.w_event
@@ -318,10 +269,13 @@ def _score_info(s: _SortedSample, beta: np.ndarray):
     return loglik, grad, info
 
 
-def fit_cox(data: SurvivalSample) -> CoxFit:
-    """Damped Newton from beta = 0 on the negated partial log-likelihood, once
-    no column of Z is constant: its information would be rounding noise."""
-    s = _SortedSample(data)
+def fit_cox(times: TimeOrder, columns, w=None) -> CoxFit:
+    """Cox fit of the outcomes whose ``TimeOrder`` is ``times`` (a trial's
+    own, or ``TimeOrder(time, status)`` for a bare fit) on the p >= 1
+    covariate vectors ``columns``, with subject weights ``w`` or none.
+    Damped Newton from beta = 0 on the negated partial log-likelihood, once
+    no column is constant: its information would be rounding noise."""
+    s = _SortedSample(times, columns, w)
     spread = np.ptp(s.z, axis=1)
     if not np.all(spread):
         raise SingularInformation(f"column {np.argmin(spread)} of the design is "
@@ -333,7 +287,7 @@ def fit_cox(data: SurvivalSample) -> CoxFit:
 
     try:
         beta, neg_loglik, neg_score, info, converged, iterations = newton.minimize(
-            evaluate, data.p)
+            evaluate, s.z.shape[0])
         cov_model = np.linalg.inv(info)
     except np.linalg.LinAlgError as exc:
         raise SingularInformation(str(exc)) from exc
@@ -354,14 +308,13 @@ def fit_cox(data: SurvivalSample) -> CoxFit:
     )
 
 
-def score_residuals(beta: np.ndarray, data: SurvivalSample) -> np.ndarray:
-    """Per-subject score residuals U_i (weights excluded), n x p in input order.
-
-    Sum_i w_i U_i equals the score, hence vanishes at the optimum.
-    """
-    s = _SortedSample(data)
-    out = np.empty((data.n, data.p))
-    out[s.time_order.order] = _residuals(s, np.asarray(beta, dtype=float)).T
+def score_residuals(beta: np.ndarray, times: TimeOrder, columns, w=None) -> np.ndarray:
+    """Per-subject score residuals U_i (weights excluded), n x p in input
+    order, for the arguments of ``fit_cox``. Sum_i w_i U_i equals the score,
+    hence vanishes at the optimum."""
+    s = _SortedSample(times, columns, w)
+    out = np.empty(s.z.shape[::-1])
+    out[times.order] = _residuals(s, np.asarray(beta, dtype=float)).T
     return out
 
 
@@ -381,13 +334,14 @@ def _residuals(s: _SortedSample, beta: np.ndarray) -> np.ndarray:
 
 def robust_variance(fit: CoxFit) -> np.ndarray:
     """Lin-Wei sandwich inv(I) (sum_i w_i^2 U_i U_i') inv(I), from the fit's
-    own time order and inverse information."""
-    w = fit._sorted.w
-    # weights c w give the same sandwich; w U over a power of two s near the
-    # largest weight, and the bread times s, are exact and keep (w U)^2 finite
-    s = np.ldexp(1.0, np.frexp(w.max())[1])
+    own time order and inverse information; unweighted, w is 1."""
+    w, bread = fit._sorted.w, fit._bread
     uw = _residuals(fit._sorted, fit.beta)
-    uw *= w
-    uw /= s
-    bread = fit._bread * s
+    if w is not None:
+        # weights c w give the same sandwich; w U over a power of two s near the
+        # largest weight, and the bread times s, are exact and keep (w U)^2 finite
+        s = np.ldexp(1.0, np.frexp(w.max())[1])
+        uw *= w
+        uw /= s
+        bread = bread * s
     return bread @ (uw @ uw.T) @ bread

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohortsim import OutcomeModelSpec, TrialData, covariate_means, simulate_trial
-from .coxph import CoxFit, NotConverged, SurvivalSample, fit_cox
+from .coxph import CoxFit, NotConverged, fit_cox
 from .stochastic import RandomStream
 
 MARGINAL = "marginal"
@@ -84,11 +84,10 @@ def _require_same_scale(d_AC: EffectEstimate, d_BC: EffectEstimate):
             "marginal and conditional hazard ratios are distinct estimands")
 
 
-def _fit(trial: TrialData, Z, weights: np.ndarray | None = None) -> CoxFit:
-    """The converged Cox fit of ``trial``'s outcomes on ``Z``, a covariate
-    vector or a tuple of them, sharing the trial's one ``TimeOrder``;
-    ``NotConverged`` if Newton stopped early."""
-    fit = fit_cox(SurvivalSample(trial.time, trial.status, Z, weights, trial.time_order))
+def _fit(trial: TrialData, columns, weights: np.ndarray | None = None) -> CoxFit:
+    """The converged Cox fit of ``trial``'s outcomes, on its one ``TimeOrder``,
+    on the covariate vectors ``columns``; ``NotConverged`` if Newton stopped early."""
+    fit = fit_cox(trial.time_order, columns, weights)
     if not fit.converged:
         raise NotConverged(f"Cox fit stopped unconverged after {fit.iterations} "
                            f"Newton steps (max |score| {fit.score_norm:.3g})")
@@ -102,7 +101,7 @@ def marginal_effect(trial: TrialData, weights: np.ndarray | None = None,
     With weights the robust sandwich standard error is reported, since the
     weighted score contributions are no longer independent unit terms.
     """
-    fit = _fit(trial, trial.trt, weights)
+    fit = _fit(trial, (trial.trt,), weights)
     se = fit.se_robust[0] if weights is not None else fit.se_model[0]
     return EffectEstimate(float(fit.beta[0]), float(se), MARGINAL, population)
 

@@ -17,9 +17,8 @@ from typing import Union
 
 import numpy as np
 
-_U53 = 1 << 53
-# (2**53 - 1 + 0.5) * 2**-53 rounds to 1.0; the largest double below 1 is
-# the stream's largest uniform
+# (2**53 - 1) * 2**-53 + 2**-54 rounds to 1.0; the largest double below 1
+# is the stream's largest uniform
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 # the least and the greatest uniform a stream returns
 UNIFORM_RANGE = (2.0**-54, float(_BELOW_ONE))
@@ -38,10 +37,12 @@ class RandomStream:
         self.draw_count = 0
 
     def uniforms(self, n: int) -> np.ndarray:
-        """n i.i.d. uniforms on the open interval (0, 1)."""
-        k = self._bits.integers(0, _U53, size=n, dtype=np.int64)
+        """n i.i.d. uniforms on the open interval (0, 1): the midpoints
+        (k + 0.5) 2**-53 of the 53-bit grid ``Generator.random`` draws from."""
+        u = self._bits.random(n)
         self.draw_count += int(n)
-        return np.minimum((k + 0.5) * 2.0**-53, _BELOW_ONE)
+        u += 2.0**-54
+        return np.minimum(u, _BELOW_ONE, out=u)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,7 @@ import pytest
 from maicsim import balance, cli, cohortsim, estimands
 from maicsim.balance import center_covariates, estimate_weights, \
     objective_and_gradient
-from maicsim.coxph import SurvivalSample, fit_cox, partial_loglik, \
-    score_and_information
+from maicsim.coxph import TimeOrder, fit_cox, partial_loglik, score_and_information
 from maicsim.estimands import ScaleMismatch, bucher_compare
 from maicsim.harness import parse_config, run_scenario
 
@@ -129,9 +128,9 @@ def test_criterion_9_gradient_oracles():
         status[rng.integers(n)] = 1.0
         Z = rng.normal(size=(n, 2))
         w = rng.uniform(0.5, 2.0, n)
-        data = SurvivalSample(time_, status, Z, w)
+        data = (TimeOrder(time_, status), tuple(Z.T), w)
         beta = rng.normal(scale=0.5, size=2)
-        grad, _ = score_and_information(beta, data)
+        grad, _ = score_and_information(beta, *data)
         prob = center_covariates(rng.normal(size=(n, 2)),
                                  rng.normal(scale=0.2, size=2))
         alpha = rng.normal(scale=0.3, size=2)
@@ -139,8 +138,8 @@ def test_criterion_9_gradient_oracles():
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            fd_cox = (partial_loglik(beta + e, data)
-                      - partial_loglik(beta - e, data)) / (2 * h)
+            fd_cox = (partial_loglik(beta + e, *data)
+                      - partial_loglik(beta - e, *data)) / (2 * h)
             worst = max(worst, abs(grad[j] - fd_cox) / max(1.0, abs(fd_cox)))
             qp, _, _ = objective_and_gradient(alpha + e, prob)
             qm, _, _ = objective_and_gradient(alpha - e, prob)
@@ -152,9 +151,8 @@ def test_criterion_9_gradient_oracles():
 
 
 def test_criterion_9_closed_form_oracles():
-    data = SurvivalSample(np.array([1.0, 2.0, 3.0]), np.ones(3),
-                          np.array([[0.0], [1.0], [0.0]]))
-    beta = fit_cox(data).beta[0]
+    times = TimeOrder(np.array([1.0, 2.0, 3.0]), np.ones(3))
+    beta = fit_cox(times, [np.array([0.0, 1.0, 0.0])]).beta[0]
     assert beta == pytest.approx(math.log(math.sqrt(2)), abs=1e-6)
     prob = center_covariates(np.array([[-1.0], [2.0]]), [0.0])
     weights = estimate_weights(prob)
@@ -181,9 +179,10 @@ def test_criterion_9_invariants():
     trt = (rng.random(n) < 0.5).astype(float)
     t = rng.exponential(1.0, n) * np.exp(-0.4 * trt) + 1e-3
     w = rng.uniform(0.5, 2.0, n)
-    base = fit_cox(SurvivalSample(t, np.ones(n), trt[:, None], w)).beta[0]
+    times = TimeOrder(t, np.ones(n))
+    base = fit_cox(times, [trt], w).beta[0]
     for c in (0.5, 2.0, 10.0):
-        again = fit_cox(SurvivalSample(t, np.ones(n), trt[:, None], c * w)).beta[0]
+        again = fit_cox(times, [trt], c * w).beta[0]
         assert again == pytest.approx(base, abs=1e-7)
     # ESS bounds
     assert 0 < weights.ess <= 80
@@ -206,12 +205,11 @@ def test_criterion_9_robust_se_vs_bootstrap():
     x = rng.normal(size=n)
     t = rng.exponential(1.0, n) * np.exp(-(0.5 * trt + 0.8 * x)) + 1e-4
     w = np.exp(0.3 * x)
-    fit = fit_cox(SurvivalSample(t, np.ones(n), trt[:, None], w))
+    fit = fit_cox(TimeOrder(t, np.ones(n)), [trt], w)
     boot = []
     for _ in range(1000):
         idx = rng.integers(0, n, n)
-        boot.append(fit_cox(SurvivalSample(t[idx], np.ones(n),
-                                           trt[idx][:, None], w[idx])).beta[0])
+        boot.append(fit_cox(TimeOrder(t[idx], np.ones(n)), [trt[idx]], w[idx]).beta[0])
     boot_se = float(np.std(boot, ddof=1))
     rel = abs(fit.se_robust[0] - boot_se) / boot_se
     print(f"PASS: robust SE {fit.se_robust[0]:.4f} vs bootstrap {boot_se:.4f} "

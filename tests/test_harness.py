@@ -472,9 +472,7 @@ def test_each_trial_sorted_once_and_sandwich_built_when_read(monkeypatch):
 
     trial_A, _ = simulate_studies(parse_config(SMALL))
     w = np.random.default_rng(21).uniform(0.5, 2.0, trial_A.n)
-    data = coxph.SurvivalSample(trial_A.time, trial_A.status, trial_A.trt, w,
-                                trial_A.time_order)
-    fit = coxph.fit_cox(data)
+    fit = coxph.fit_cox(trial_A.time_order, [trial_A.trt], w)
     counts.update(sandwiches=0)
     se_robust = fit.se_robust
     assert fit.se_robust is se_robust and counts["sandwiches"] == 1
@@ -509,7 +507,7 @@ def test_each_trial_prepared_once_and_fits_equal_fresh_ones(monkeypatch):
 
     def fresh(trial, adjustment_set=(), w=None):
         Z = np.column_stack([trial.trt, *map(trial.column, adjustment_set)])
-        fit = coxph.fit_cox(coxph.SurvivalSample(trial.time, trial.status, Z, w))
+        fit = coxph.fit_cox(coxph.TimeOrder(trial.time, trial.status), tuple(Z.T), w)
         se = fit.se_model if w is None else fit.se_robust
         return fit.beta[0], se[0]
 
@@ -644,8 +642,8 @@ def test_unconverged_solvers_fail_loudly(monkeypatch, tmp_path: Path):
     monkeypatch.setattr(newton, "MAX_ITERS", 1)
     _, trial_B = simulate_studies(parse_config(SMALL))
     # the fit still reports its flag; the pipeline refuses the result
-    sample = coxph.SurvivalSample(trial_B.time, trial_B.status, trial_B.trt[:, None])
-    assert not coxph.fit_cox(sample).converged
+    assert not coxph.fit_cox(coxph.TimeOrder(trial_B.time, trial_B.status),
+                             [trial_B.trt]).converged
     with pytest.raises(StageError) as info:
         run_scenario(parse_config(SMALL))
     assert info.value.stage == "summarize_B"
@@ -663,11 +661,11 @@ def test_unconverged_solvers_fail_loudly(monkeypatch, tmp_path: Path):
 def test_every_cox_fit_of_a_scenario_is_made_in_estimands(monkeypatch):
     calls = []
 
-    def counted(data):
+    def counted(*args):
         calls.append(None)
-        return coxph.fit_cox(data)
+        return coxph.fit_cox(*args)
 
-    def refused(data):
+    def refused(*args):
         raise AssertionError("the simulator fits no model")
 
     monkeypatch.setattr(cohortsim, "fit_cox", refused)

@@ -6,7 +6,7 @@ import pytest
 
 from maicsim import newton
 from maicsim.balance import TargetOutsideSupport, center_covariates, estimate_weights
-from maicsim.coxph import CoxError, SurvivalSample, fit_cox
+from maicsim.coxph import CoxError, TimeOrder, fit_cox
 
 UNITS = (1e-9, 1.0, 1e9)
 
@@ -60,8 +60,8 @@ def test_cox_verdicts_do_not_depend_on_units():
         time, status, designs = cox_designs(rng, n)
         for expected, cols in designs:
             for unit in UNITS:
-                Z = np.column_stack(cols[:-1] + [unit * cols[-1]])
-                got = verdict(fit_cox, SurvivalSample(time, status, Z))
+                got = verdict(fit_cox, TimeOrder(time, status),
+                              cols[:-1] + [unit * cols[-1]])
                 assert got == expected, (n, len(cols), unit)
 
 

@@ -38,12 +38,17 @@ def test_uniforms_in_open_interval():
     assert np.all(u > 0.0) and np.all(u < 1.0)
 
 
+# the least and the greatest value of ``Generator.random``: 0 and
+# (2**53 - 1) * 2**-53
+EXTREME_RANDOM = np.array([0.0, 1.0 - 2.0**-53])
+
+
 def test_uniforms_below_one_at_the_largest_integer():
-    # (2**53 - 1 + 0.5) * 2**-53 rounds to 1.0, which would make an
+    # (2**53 - 1) * 2**-53 + 2**-54 rounds to 1.0, which would make an
     # Exponential draw 0 and a Normal draw +inf
     class Bits:
-        def integers(self, low, high, size, dtype):
-            return np.array([0, 2**53 - 1], dtype=dtype)[:size]
+        def random(self, size):
+            return EXTREME_RANDOM[:size].copy()
 
     s = RandomStream(7)
     s._bits = Bits()
@@ -54,8 +59,8 @@ def test_uniforms_below_one_at_the_largest_integer():
 
 def test_drawn_range_is_the_draws_at_the_extreme_uniforms():
     class Bits:
-        def integers(self, low, high, size, dtype):
-            return np.resize(np.array([0, 2**53 - 1], dtype=dtype), size)
+        def random(self, size):
+            return np.resize(EXTREME_RANDOM, size)
 
     s = RandomStream(7)
     s._bits = Bits()
@@ -67,6 +72,21 @@ def test_drawn_range_is_the_draws_at_the_extreme_uniforms():
         assert drawn_range(dist) == (x.min(), x.max())
     for dist in (Normal(0.0, 1.0), Poisson(3.4), Exponential(1.0)):
         assert drawn_range(dist) is None
+
+
+def test_uniforms_are_the_midpoints_of_53_bit_integers():
+    # Generator.random keeps the top 53 bits of each 64-bit output, as
+    # integers(0, 2**53) does: a power-of-two range is never rejected. So
+    # random() + 2**-54 rounds the same real number as (k + 0.5) * 2**-53,
+    # call after call, whatever the sizes of the calls
+    for seed in (0, 1, 555, 2**63 + 7):
+        s = RandomStream(seed)
+        bits = np.random.Generator(np.random.PCG64(seed))
+        for n in (0, 1, 7, 33_333, 100_000, 1, 0, 7):
+            k = bits.integers(0, 2**53, size=n, dtype=np.int64)
+            old = np.minimum((k + 0.5) * 2.0**-53, np.nextafter(1.0, 0.0))
+            assert np.array_equal(s.uniforms(n), old)
+        assert s.draw_count == 2 * (1 + 7) + 33_333 + 100_000
 
 
 def test_reproducible_across_mixed_call_sequence():
