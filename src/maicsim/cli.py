@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from . import balance, cohortsim, coxph, estimands, harness
@@ -131,7 +132,12 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # a warning is one line too, without the source file and line that
+        # raised it; the filters in force still decide which are shown
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: sys.stderr.write(
+                f"maicsim {args.command}: warning: {message}\n")
+            return args.fn(args)
     # failures of the input or of the model, not of the program; ValueError
     # covers harness.ConfigError and a malformed CSV, KeyError a covariate
     # the CSV lacks, OSError an input file that cannot be read

@@ -116,18 +116,15 @@ class TimeOrder:
 
     # Each sum below writes its cumulative sums to ``sums`` and, with tied
     # times, gathers them into ``gathered``; it returns the result and the
-    # one of the two it leaves free. ``gathered`` may be ``x`` itself. With
-    # tied times the p x n arrays are subject-major, so that each gather
-    # moves whole rows of p along axis 0 of the transposes; the layout also
-    # sets the rounding of the BLAS products, which the tests pin bit for
-    # bit. The gathers clip because ``mode="raise"`` buffers its output.
+    # one of the two it leaves free. ``gathered`` may be ``x`` itself. The
+    # gathers clip because ``mode="raise"`` buffers its output.
 
     def at_risk(self, x: np.ndarray, sums: np.ndarray, gathered: np.ndarray):
         """Sums of ``x`` (along its last axis) over each subject's risk set."""
         x.cumsum(axis=-1, out=sums)
         if self.last is None:
             return sums, gathered
-        sums.T.take(self.last, axis=0, out=gathered.T, mode="clip")
+        sums.take(self.last, axis=-1, out=gathered, mode="clip")
         return gathered, sums
 
     def events_through(self, x: np.ndarray, sums: np.ndarray, gathered: np.ndarray):
@@ -136,7 +133,7 @@ class TimeOrder:
         x[..., ::-1].cumsum(axis=-1, out=sums)
         if self.first is None:
             return sums[..., ::-1], gathered
-        sums.T.take(self.first, axis=0, out=gathered.T, mode="clip")
+        sums.take(self.first, axis=-1, out=gathered, mode="clip")
         return gathered, sums
 
 
@@ -144,19 +141,16 @@ class TimeOrder:
 _scratch = threading.local()
 
 
-def _buffers(n: int, p: int, subject_major: bool):
+def _buffers(n: int, p: int):
     """Five n-vectors and two p x n arrays, views into this thread's scratch:
     5 n + 2 p n doubles, grown to the largest fit the thread has run and
-    reused by every later one. Nothing this module returns aliases it.
-    ``subject_major`` stores the p x n arrays as n x p in memory."""
+    reused by every later one. Nothing this module returns aliases it."""
     size = (5 + 2 * p) * n
     if getattr(_scratch, "buf", None) is None or _scratch.buf.size < size:
         _scratch.buf = None  # the smaller array goes before the larger is made
         _scratch.buf = np.empty(size)
     buf = _scratch.buf
-    mats = buf[5 * n:size]
-    mats = mats.reshape(2, n, p).transpose(0, 2, 1) if subject_major else mats.reshape(2, p, n)
-    return (*buf[:5 * n].reshape(5, n), *mats)
+    return (*buf[:5 * n].reshape(5, n), *buf[5 * n:size].reshape(2, p, n))
 
 
 class _SortedSample:
@@ -194,8 +188,7 @@ class _SortedSample:
         risk set, a = w / S0 at events (0 elsewhere) and a free p x n array,
         all in this thread's scratch and overwritten by the next call."""
         times = self.time_order
-        eta, expeta, r, v0, v1, m0, m1 = _buffers(*self.z.shape[::-1],
-                                                   times.last is not None)
+        eta, expeta, r, v0, v1, m0, m1 = _buffers(*self.z.shape[::-1])
         np.matmul(beta, self.z, out=eta)
         np.exp(eta, out=expeta)
         if self.w is None:
@@ -238,15 +231,6 @@ def score_and_information(beta: np.ndarray, times: TimeOrder, columns, w=None):
     return _score_info(_SortedSample(times, columns, w), np.asarray(beta, dtype=float))[1:]
 
 
-def _by_row(ufunc, x: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``ufunc(x, v)`` into ``out``, for p x n ``x`` and ``out`` and an
-    n-vector ``v``, a row at a time: one call over the subject-major arrays of
-    tied times buffers its operands."""
-    for x_j, out_j in zip(x, out):
-        ufunc(x_j, v, out=out_j)
-    return out
-
-
 def _score_info(s: _SortedSample, beta: np.ndarray):
     eta, expeta, r, s0, s1, a, tmp = s.risk_sums(beta)
     e = s.time_order.events
@@ -259,13 +243,13 @@ def _score_info(s: _SortedSample, beta: np.ndarray):
     loglik = float(terms.sum())
     # one p x n array serves all three products. (Z - S1/S0) is formed before
     # the product: sum_e w_e z_e - S1 a would cancel two large sums
-    grad = np.subtract(s.z, _by_row(np.divide, s1, s0, tmp), out=tmp) @ s.w_event
+    grad = np.subtract(s.z, np.divide(s1, s0, out=tmp), out=tmp) @ s.w_event
     # sum_e w_e / S0(t_e) sum_{t_i >= t_e} r_i z_i z_i', summed by subject i
     # instead: G0_i sums w_e / S0(t_e) over the events up to t_i
     g0, free = s.time_order.events_through(a, eta, expeta)
     rg0 = np.multiply(r, g0, out=free)
     info = np.multiply(s.z, rg0, out=tmp) @ s.z.T
-    info -= _by_row(np.multiply, s1, np.divide(a, s0, out=rg0), tmp) @ s1.T
+    info -= np.multiply(s1, np.divide(a, s0, out=rg0), out=tmp) @ s1.T
     return loglik, grad, info
 
 
@@ -321,15 +305,15 @@ def score_residuals(beta: np.ndarray, times: TimeOrder, columns, w=None) -> np.n
 def _residuals(s: _SortedSample, beta: np.ndarray) -> np.ndarray:
     """Score residuals, p x n in the time order of ``s``, in a new array."""
     eta, expeta, r, s0, s1, a, zbar = s.risk_sums(beta)
-    _by_row(np.divide, s1, s0, zbar)
+    np.divide(s1, s0, out=zbar)
     times = s.time_order
     g0, _ = times.events_through(a, eta, r)
     # d (Z - zbar) - exp(eta) (G0 Z - G1), the first term in the result
     out = np.empty(zbar.shape)
     np.multiply(times.d, np.subtract(s.z, zbar, out=out), out=out)
-    g1, tmp = times.events_through(_by_row(np.multiply, zbar, a, s1), zbar, s1)
+    g1, tmp = times.events_through(np.multiply(zbar, a, out=s1), zbar, s1)
     np.subtract(np.multiply(g0, s.z, out=tmp), g1, out=tmp)
-    return np.subtract(out, _by_row(np.multiply, tmp, expeta, tmp), out=out)
+    return np.subtract(out, np.multiply(tmp, expeta, out=tmp), out=out)
 
 
 def robust_variance(fit: CoxFit) -> np.ndarray:

@@ -366,11 +366,11 @@ class AllocatingKernel:
 
     def at_risk(self, x):
         sums = np.cumsum(x, axis=-1)
-        return sums if self.last is None else sums[..., self.last]
+        return sums if self.last is None else sums.take(self.last, axis=-1)
 
     def events_through(self, a):
         sums = np.cumsum(a[..., ::-1], axis=-1)[..., ::-1]
-        return sums if self.first is None else sums[..., self.first]
+        return sums if self.first is None else sums.take(self.first, axis=-1)
 
     def risk_sums(self, beta):
         eta = beta @ self.z
@@ -456,9 +456,9 @@ def test_warm_score_evaluation_allocates_less_than_one_vector():
 @pytest.mark.filterwarnings("ignore:tied event times")
 @pytest.mark.parametrize("tied", [False, True])
 def test_warm_evaluations_allocate_nothing_of_length_n(tied):
-    # with tied times the p x n arrays are subject-major, where one ufunc call
-    # over such an array and an n-vector would buffer; unweighted, the risk
-    # scores are copied, not multiplied by weights
+    # with tied times the risk-set sums are gathered into the scratch, not
+    # into new arrays; unweighted, the risk scores are copied, not multiplied
+    # by weights
     rng = np.random.default_rng(24)
     n, p = 20_000, 4
     for weighted in (False, True):
@@ -475,9 +475,14 @@ def test_warm_evaluations_allocate_nothing_of_length_n(tied):
         assert peak_bytes(coxph._residuals, s, beta)[1] < 8 * n * p + 4096
 
 
-def test_fit_results_do_not_alias_the_scratch():
+@pytest.mark.filterwarnings("ignore:tied event times")
+@pytest.mark.parametrize("tied", [False, True])
+def test_fit_results_do_not_alias_the_scratch(tied):
     rng = np.random.default_rng(29)
     data = random_sample(rng, n=500, p=2)
+    if tied:
+        data = replace(data, time=np.ceil(10 * data.time) / 10)
+    assert (data.args[0].last is not None) == tied
     at_once = fit_cox(*data.args)
     at_once_se = at_once.se_robust
     late = fit_cox(*data.args)

@@ -1,6 +1,8 @@
 import dataclasses
+import importlib
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -64,6 +66,20 @@ def test_package_exports_only_the_entry_points():
     assert public == {"ScenarioConfig", "ScenarioResult", "parse_config",
                       "replicate_appendix", "run_scenario"}
     assert maicsim.__version__
+
+
+def test_readme_names_resolve():
+    # every `module.name` the README cites is in that module, so that a
+    # rename or deletion in src/ cannot leave the README naming what is gone
+    readme = (Path(maicsim.__file__).parents[2] / "README.md").read_text()
+    modules = "coxph|cohortsim|balance|estimands|harness|newton|stochastic|cli"
+    names = set(re.findall(rf"`((?:{modules})(?:\.\w+)+)", readme))
+    assert len(names) >= 20, sorted(names)
+    for name in sorted(names):
+        value = importlib.import_module(f"maicsim.{name.split('.')[0]}")
+        for attr in name.split(".")[1:]:
+            assert hasattr(value, attr), f"README names {name}, which is not in maicsim"
+            value = getattr(value, attr)
 
 
 def test_unknown_top_level_field():
@@ -868,6 +884,22 @@ def test_cli_simulate_weights_fit(tmp_path: Path, capsys):
     assert capsys.readouterr().out == marginal_effect(trial_A, read_back).to_json() + "\n"
     assert cli.main(["fit", "--data", str(out / "study_A.csv"),
                      "--adjust", "PLNEN,ISS,Refr"]) == 0
+
+
+def test_cli_warnings_are_one_line(tmp_path: Path):
+    # subjects 0 and 1 tie at 1.5; the warning names neither file nor line
+    data = tmp_path / "tied.csv"
+    data.write_text("subject_id,x,trt,time,status\n0,1,0,1.5,1\n1,0,1,1.5,1\n"
+                    "2,1,1,2.5,0\n3,0,0,3.0,1\n4,1,0,0.5,1\n5,0,1,4.0,1\n"
+                    "6,1,1,2.0,1\n7,0,0,3.5,0\n")
+    src = str(Path(maicsim.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "maicsim.cli", "fit", "--data", str(data)],
+                          capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["scale"] == "marginal"
+    assert proc.stderr == ("maicsim fit: warning: tied event times present; "
+                           "using Breslow tie handling\n")
 
 
 def test_cli_simulate_writes_the_trials_to_ten_digits(tmp_path: Path):
