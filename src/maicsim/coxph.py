@@ -137,28 +137,14 @@ class TimeOrder:
         return gathered, sums
 
 
-# each thread's one reused float64 array for the evaluations of ``risk_sums``
-_scratch = threading.local()
-
-
-def _buffers(n: int, p: int):
-    """Five n-vectors and two p x n arrays, views into this thread's scratch:
-    5 n + 2 p n doubles, grown to the largest fit the thread has run and
-    reused by every later one. Nothing this module returns aliases it."""
-    size = (5 + 2 * p) * n
-    if getattr(_scratch, "buf", None) is None or _scratch.buf.size < size:
-        _scratch.buf = None  # the smaller array goes before the larger is made
-        _scratch.buf = np.empty(size)
-    buf = _scratch.buf
-    return (*buf[:5 * n].reshape(5, n), *buf[5 * n:size].reshape(2, p, n))
-
-
 class _SortedSample:
-    """What one fit adds to its trial's ``TimeOrder``, checked here: the
-    design's p >= 1 columns gathered into p x n rows, so that the risk-set
-    sums S0 and S1 are forward cumulative sums over contiguous memory, and
-    the weights in that order. Unweighted (``w`` None) it keeps no weights:
-    the event weights are the statuses and the risk scores exp(eta)."""
+    """What one fit adds to its trial's ``TimeOrder``, checked here, and all
+    it evaluates with: the design's p >= 1 columns gathered into p x n rows,
+    so that the risk-set sums S0 and S1 are forward cumulative sums over
+    contiguous memory; the weights in that order, or the scalar 1.0
+    unweighted, whose event weights are the statuses; and one scratch array
+    of 5 n + 2 p n doubles, reused by every evaluation of the fit and freed
+    with it. ``lock`` keeps two sandwiches off the scratch at once."""
 
     def __init__(self, times: TimeOrder, columns, w=None):
         n = times.order.size
@@ -167,7 +153,7 @@ class _SortedSample:
             raise ValueError(f"need p >= 1 covariate columns of n = {n} values each")
         if not all(np.all(np.isfinite(z)) for z in columns):
             raise ValueError("all covariate values Z must be finite")
-        self.w, self.w_event = None, times.d
+        self.w, self.w_event = 1.0, times.d
         if w is not None:
             w = np.asarray(w, dtype=float)
             if not (w.shape == (n,) and np.all((w > 0) & (w < np.inf))):
@@ -182,19 +168,20 @@ class _SortedSample:
         self.z = np.empty((len(columns), n))
         for column, row in zip(columns, self.z):
             column.take(times.order, out=row, mode="clip")
+        self.scratch = np.empty((5 + 2 * len(columns)) * n)
+        self.lock = threading.Lock()
 
     def risk_sums(self, beta: np.ndarray):
         """eta, exp(eta), the risk scores r = w exp(eta), S0 and S1 over each
         risk set, a = w / S0 at events (0 elsewhere) and a free p x n array,
-        all in this thread's scratch and overwritten by the next call."""
+        all views into the fit's scratch and overwritten by the next call."""
         times = self.time_order
-        eta, expeta, r, v0, v1, m0, m1 = _buffers(*self.z.shape[::-1])
+        n = self.z.shape[1]
+        eta, expeta, r, v0, v1 = self.scratch[:5 * n].reshape(5, n)
+        m0, m1 = self.scratch[5 * n:].reshape(2, *self.z.shape)
         np.matmul(beta, self.z, out=eta)
         np.exp(eta, out=expeta)
-        if self.w is None:
-            np.copyto(r, expeta)
-        else:
-            np.multiply(self.w, expeta, out=r)
+        np.multiply(self.w, expeta, out=r)
         s0, a = times.at_risk(r, v0, v1)
         np.divide(self.w_event, s0, out=a)
         # S1 is cumulated out of place: numpy would copy an in-place cumsum
@@ -238,8 +225,7 @@ def _score_info(s: _SortedSample, beta: np.ndarray):
     eta_e = eta.take(e, out=expeta[:e.size], mode="clip")
     terms = np.log(s0.take(e, out=eta[:e.size], mode="clip"), out=eta[:e.size])
     np.subtract(eta_e, terms, out=terms)
-    if s.w is not None:
-        np.multiply(s.w.take(e, out=eta_e, mode="clip"), terms, out=terms)
+    np.multiply(s.w_event.take(e, out=eta_e, mode="clip"), terms, out=terms)
     loglik = float(terms.sum())
     # one p x n array serves all three products. (Z - S1/S0) is formed before
     # the product: sum_e w_e z_e - S1 a would cancel two large sums
@@ -320,12 +306,14 @@ def robust_variance(fit: CoxFit) -> np.ndarray:
     """Lin-Wei sandwich inv(I) (sum_i w_i^2 U_i U_i') inv(I), from the fit's
     own time order and inverse information; unweighted, w is 1."""
     w, bread = fit._sorted.w, fit._bread
-    uw = _residuals(fit._sorted, fit.beta)
-    if w is not None:
-        # weights c w give the same sandwich; w U over a power of two s near the
-        # largest weight, and the bread times s, are exact and keep (w U)^2 finite
-        s = np.ldexp(1.0, np.frexp(w.max())[1])
-        uw *= w
-        uw /= s
-        bread = bread * s
+    # two threads' first reads of se_robust may meet here (cached_property
+    # does not lock since Python 3.12), and the residuals use the scratch
+    with fit._sorted.lock:
+        uw = _residuals(fit._sorted, fit.beta)
+    # weights c w give the same sandwich; w U over a power of two s near the
+    # largest weight, and the bread times s, are exact and keep (w U)^2 finite
+    s = np.ldexp(1.0, np.frexp(np.max(w))[1])
+    uw *= w
+    uw /= s
+    bread = bread * s
     return bread @ (uw @ uw.T) @ bread

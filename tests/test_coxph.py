@@ -320,12 +320,6 @@ def test_design_rows_must_be_subjects():
         fit_cox(times, [z], np.ones(2))
 
 
-def in_new_thread(fn, *args):
-    """``fn(*args)`` run in a thread of its own, whose Cox scratch starts empty."""
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        return pool.submit(fn, *args).result(timeout=120)
-
-
 def test_fit_memory_grows_linearly_in_covariates():
     # with every array of a fit at most n x p, going from 2 to 8 covariates
     # multiplies the peak by less than 8 / 2; an n x p x p array would push
@@ -336,9 +330,8 @@ def test_fit_memory_grows_linearly_in_covariates():
     status = (rng.random(n) < 0.7).astype(float)
     Z = rng.normal(size=(n, 8))
     times = TimeOrder(time, status)
-    # each fit in a new thread pays for its own scratch, whatever ran before
-    small, large = (peak_bytes(in_new_thread, fit_cox, times, tuple(Z[:, :p].T))[1]
-                    for p in (2, 8))
+    # each fit pays for its own scratch, whatever ran before
+    small, large = (peak_bytes(fit_cox, times, tuple(Z[:, :p].T))[1] for p in (2, 8))
     assert large / small < 4
 
 
@@ -405,7 +398,7 @@ class AllocatingKernel:
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_scratch_kernel_matches_allocating_kernel_bitwise(p, weighted, tied):
     rng = np.random.default_rng(100 * p + 10 * weighted + tied)
-    # a larger fit first, so that this one runs in a used, larger scratch;
+    # a larger fit first, which must leave nothing that this one reads;
     # an odd n puts the scratch's rows at odd offsets
     fit_cox(*random_sample(rng, n=2001, p=p + 1).args)
     data = random_sample(rng, n=1001, p=p, weighted=weighted)
@@ -428,8 +421,8 @@ def test_scratch_kernel_matches_allocating_kernel_bitwise(p, weighted, tied):
 @pytest.mark.parametrize("tied", [False, True])
 @pytest.mark.parametrize("p", [1, 4])
 def test_unweighted_fit_equals_fit_with_unit_weights_bitwise(p, tied):
-    # an unweighted fit keeps no weights; every product it drops is a
-    # product by 1.0, which is exact
+    # an unweighted fit keeps the scalar weight 1.0 and no weight vector;
+    # every product by it is exact
     rng = np.random.default_rng(50 + 10 * p + tied)
     data = random_sample(rng, n=801, p=p, weighted=False)
     if tied:
@@ -438,7 +431,7 @@ def test_unweighted_fit_equals_fit_with_unit_weights_bitwise(p, tied):
     assert (times.last is not None) == tied
     unweighted = fit_cox(times, columns)
     weighted = fit_cox(times, columns, np.ones(801))
-    assert unweighted._sorted.w is None and weighted._sorted.w is not None
+    assert unweighted._sorted.w == 1.0 and weighted._sorted.w.shape == (801,)
     for key in ("beta", "se_model", "se_robust", "loglik_at_solution", "iterations"):
         assert np.array_equal(getattr(unweighted, key), getattr(weighted, key))
 
@@ -448,7 +441,7 @@ def test_warm_score_evaluation_allocates_less_than_one_vector():
     n, p = 20_000, 4
     s = coxph._SortedSample(*random_sample(rng, n=n, p=p).args)
     beta = rng.normal(scale=0.1, size=p)
-    coxph._score_info(s, beta)  # sizes this thread's scratch
+    coxph._score_info(s, beta)  # warms numpy; s made its scratch already
     _, peak = peak_bytes(coxph._score_info, s, beta)
     assert peak < 8 * n
 
@@ -457,8 +450,8 @@ def test_warm_score_evaluation_allocates_less_than_one_vector():
 @pytest.mark.parametrize("tied", [False, True])
 def test_warm_evaluations_allocate_nothing_of_length_n(tied):
     # with tied times the risk-set sums are gathered into the scratch, not
-    # into new arrays; unweighted, the risk scores are copied, not multiplied
-    # by weights
+    # into new arrays; unweighted, the risk scores are exp(eta) times the
+    # scalar 1.0, not times a weight vector
     rng = np.random.default_rng(24)
     n, p = 20_000, 4
     for weighted in (False, True):
@@ -467,9 +460,9 @@ def test_warm_evaluations_allocate_nothing_of_length_n(tied):
             data = replace(data, time=np.ceil(10 * data.time) / 10)
         s = coxph._SortedSample(*data.args)
         assert (s.time_order.last is not None) == tied
-        assert (s.w is None) == (not weighted)
+        assert np.shape(s.w) == ((n,) if weighted else ())
         beta = rng.normal(scale=0.1, size=p)
-        coxph._score_info(s, beta)  # sizes this thread's scratch
+        coxph._score_info(s, beta)  # warms numpy; s made its scratch already
         assert peak_bytes(coxph._score_info, s, beta)[1] < 4096
         # the residuals are returned in a new p x n array, and nothing else
         assert peak_bytes(coxph._residuals, s, beta)[1] < 8 * n * p + 4096
@@ -487,7 +480,7 @@ def test_fit_results_do_not_alias_the_scratch(tied):
     at_once_se = at_once.se_robust
     late = fit_cox(*data.args)
     kept = {k: np.copy(getattr(late, k)) for k in ("beta", "se_model")}
-    # a second, larger fit grows this thread's scratch and overwrites it
+    # a second, larger fit, in a scratch of its own, must change none of them
     fit_cox(*random_sample(rng, n=5000, p=3).args)
     assert np.array_equal(late.se_robust, at_once_se)
     for k, value in kept.items():
@@ -500,7 +493,7 @@ def _fit_summary(data):
 
 
 def test_concurrent_fits_equal_sequential_ones():
-    # each thread has its own scratch; four threads on two cores, two per
+    # each fit has its own scratch; four threads on two cores, two per
     # sample, fit at the same time as each other. One covariate at n = 5000
     # keeps every BLAS call of these fits single-threaded
     rng = np.random.default_rng(31)
@@ -524,6 +517,31 @@ def test_concurrent_fits_equal_sequential_ones():
         for run in runs:
             for value, expected in zip(run, want[k % 2]):
                 assert np.array_equal(value, expected)
+
+
+def test_concurrent_first_sandwich_reads_equal_a_sequential_one():
+    # the sandwich's residuals are made in the fit's one scratch, so threads
+    # making the first se_robust read of one fit at once must take turns:
+    # cached_property does not lock on Python 3.12 and later
+    rng = np.random.default_rng(37)
+    fit = fit_cox(*random_sample(rng, n=20_000, p=2).args)
+    want = robust_variance(fit)
+    barrier = threading.Barrier(4)
+
+    def read_after_barrier():
+        barrier.wait(timeout=60)
+        return robust_variance(fit)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(20):
+                futures = [pool.submit(read_after_barrier) for _ in range(4)]
+                for future in futures:
+                    assert np.array_equal(future.result(timeout=120), want)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_information_is_psd():

@@ -6,8 +6,10 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -539,6 +541,27 @@ def test_each_trial_prepared_once_and_fits_equal_fresh_ones(monkeypatch):
     for key, (log_hr, se) in expected.items():
         estimate = getattr(result, key)
         assert (estimate.log_hr, estimate.se) == (log_hr, se), key
+
+
+def test_scenario_keeps_no_cox_scratch_once_it_returns():
+    # each Cox fit owns its scratch and frees it with the fit, so a scenario
+    # holds nothing of length n once it returns but what its result holds,
+    # in a new thread as in the one that ran scenarios before
+    n = 20_000
+    cfg = parse_config({"n": n})
+    run_scenario(cfg)  # imports and numpy's caches, outside the trace
+
+    def held_after_scenario():
+        tracemalloc.start()
+        try:
+            result = run_scenario(cfg)
+            return result, tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        result, held = pool.submit(held_after_scenario).result(timeout=120)
+    assert result.config.n == n and held < 8 * n
 
 
 def test_stage_annotation_on_failure():
