@@ -4,16 +4,15 @@ Supports subject (case) weights: each subject contributes its weight to both
 the event terms and the risk-set sums. Ties are handled with the Breslow
 approximation; a warning is emitted when ties are present since the
 data-generating process here is continuous-time and ties should not occur.
-Variance comes in two flavours: model-based (inverse information) and the
-Lin-Wei robust sandwich built from per-subject score residuals.
+Every fit reports model-based standard errors (inverse information); a
+weighted fit also reports the Lin-Wei robust sandwich, built from per-subject
+score residuals as the fit is made.
 """
 
 from __future__ import annotations
 
-import threading
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,7 +143,7 @@ class _SortedSample:
     contiguous memory; the weights in that order, or the scalar 1.0
     unweighted, whose event weights are the statuses; and one scratch array
     of 5 n + 2 p n doubles, reused by every evaluation of the fit and freed
-    with it. ``lock`` keeps two sandwiches off the scratch at once."""
+    with it."""
 
     def __init__(self, times: TimeOrder, columns, w=None):
         n = times.order.size
@@ -169,7 +168,6 @@ class _SortedSample:
         for column, row in zip(columns, self.z):
             column.take(times.order, out=row, mode="clip")
         self.scratch = np.empty((5 + 2 * len(columns)) * n)
-        self.lock = threading.Lock()
 
     def risk_sums(self, beta: np.ndarray):
         """eta, exp(eta), the risk scores r = w exp(eta), S0 and S1 over each
@@ -193,18 +191,11 @@ class _SortedSample:
 class CoxFit:
     beta: np.ndarray
     se_model: np.ndarray
+    se_robust: np.ndarray | None  # Lin-Wei, of a weighted fit only
     loglik_at_solution: float
     iterations: int
     converged: bool
     score_norm: float
-    # what the sandwich needs, so that it is built only if se_robust is read
-    _sorted: _SortedSample = field(repr=False, compare=False)
-    _bread: np.ndarray = field(repr=False, compare=False)
-
-    @cached_property
-    def se_robust(self) -> np.ndarray:
-        """Lin-Wei robust standard errors, built on first read."""
-        return np.sqrt(np.diag(robust_variance(self)))
 
 
 def partial_loglik(beta: np.ndarray, times: TimeOrder, columns, w=None) -> float:
@@ -244,7 +235,8 @@ def fit_cox(times: TimeOrder, columns, w=None) -> CoxFit:
     own, or ``TimeOrder(time, status)`` for a bare fit) on the p >= 1
     covariate vectors ``columns``, with subject weights ``w`` or none.
     Damped Newton from beta = 0 on the negated partial log-likelihood, once
-    no column is constant: its information would be rounding noise."""
+    no column is constant: its information would be rounding noise. Only a
+    weighted fit builds its Lin-Wei sandwich; unit weights fit bit for bit as none."""
     s = _SortedSample(times, columns, w)
     spread = np.ptp(s.z, axis=1)
     if not np.all(spread):
@@ -269,12 +261,12 @@ def fit_cox(times: TimeOrder, columns, w=None) -> CoxFit:
     return CoxFit(
         beta=beta,
         se_model=np.sqrt(np.diag(cov_model)),
+        se_robust=(None if w is None else
+                   np.sqrt(np.diag(robust_variance(s, beta, cov_model)))),
         loglik_at_solution=-neg_loglik,
         iterations=iterations,
         converged=converged,
         score_norm=float(np.max(np.abs(neg_score))),
-        _sorted=s,
-        _bread=cov_model,
     )
 
 
@@ -302,18 +294,15 @@ def _residuals(s: _SortedSample, beta: np.ndarray) -> np.ndarray:
     return np.subtract(out, np.multiply(tmp, expeta, out=tmp), out=out)
 
 
-def robust_variance(fit: CoxFit) -> np.ndarray:
-    """Lin-Wei sandwich inv(I) (sum_i w_i^2 U_i U_i') inv(I), from the fit's
-    own time order and inverse information; unweighted, w is 1."""
-    w, bread = fit._sorted.w, fit._bread
-    # two threads' first reads of se_robust may meet here (cached_property
-    # does not lock since Python 3.12), and the residuals use the scratch
-    with fit._sorted.lock:
-        uw = _residuals(fit._sorted, fit.beta)
-    # weights c w give the same sandwich; w U over a power of two s near the
-    # largest weight, and the bread times s, are exact and keep (w U)^2 finite
-    s = np.ldexp(1.0, np.frexp(np.max(w))[1])
-    uw *= w
-    uw /= s
-    bread = bread * s
+def robust_variance(sample: _SortedSample, beta: np.ndarray,
+                    bread: np.ndarray) -> np.ndarray:
+    """Lin-Wei sandwich inv(I) (sum_i w_i^2 U_i U_i') inv(I) of the fit on
+    ``sample`` at ``beta``, whose inverse information is ``bread``."""
+    uw = _residuals(sample, beta)
+    # weights c w give the same sandwich; w U over a power of two near the
+    # largest weight, and the bread times it, are exact and keep (w U)^2 finite
+    scale = np.ldexp(1.0, np.frexp(np.max(sample.w))[1])
+    uw *= sample.w
+    uw /= scale
+    bread = bread * scale
     return bread @ (uw @ uw.T) @ bread

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -298,7 +299,7 @@ def test_design_columns_fit_as_the_design_array():
     times = TimeOrder(time, status)
     by_columns = fit_cox(times, (trt, x))
     by_array = fit_cox(times, tuple(np.column_stack([trt, x]).T))
-    for key in ("beta", "se_model", "se_robust", "loglik_at_solution"):
+    for key in ("beta", "se_model", "loglik_at_solution"):
         assert np.array_equal(getattr(by_columns, key), getattr(by_array, key))
     with pytest.raises(SingularInformation, match="column 1 of the design is constant"):
         fit_cox(times, (trt, np.full(500, 0.3)))
@@ -309,7 +310,7 @@ def test_design_columns_fit_as_the_design_array():
 def test_design_rows_must_be_subjects():
     times = TimeOrder(np.array([1.0, 2.0, 3.0]), np.ones(3))
     z = np.array([0.0, 1.0, 0.0])
-    assert fit_cox(times, [z])._sorted.z.shape == (1, 3)
+    assert coxph._SortedSample(times, [z]).z.shape == (1, 3)
     # every column holds one value per subject: no column at all, an n x 1
     # or 1 x n array as one column, and a column of another length are
     # refused, not reshaped
@@ -429,10 +430,13 @@ def test_unweighted_fit_equals_fit_with_unit_weights_bitwise(p, tied):
         data = replace(data, time=np.ceil(10 * data.time) / 10)
     times, columns, _ = data.args
     assert (times.last is not None) == tied
+    assert coxph._SortedSample(times, columns).w == 1.0
+    assert coxph._SortedSample(times, columns, np.ones(801)).w.shape == (801,)
     unweighted = fit_cox(times, columns)
     weighted = fit_cox(times, columns, np.ones(801))
-    assert unweighted._sorted.w == 1.0 and weighted._sorted.w.shape == (801,)
-    for key in ("beta", "se_model", "se_robust", "loglik_at_solution", "iterations"):
+    # only a weighted fit builds the sandwich
+    assert unweighted.se_robust is None and weighted.se_robust.shape == (p,)
+    for key in ("beta", "se_model", "loglik_at_solution", "iterations"):
         assert np.array_equal(getattr(unweighted, key), getattr(weighted, key))
 
 
@@ -487,6 +491,24 @@ def test_fit_results_do_not_alias_the_scratch(tied):
         assert np.array_equal(getattr(late, k), value)
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_kept_fit_holds_nothing_of_length_n(weighted):
+    # a fit keeps what it reports, not its sample, scratch or bread: the
+    # sandwich of a weighted fit is built before fit_cox returns
+    rng = np.random.default_rng(41)
+    n = 20_000
+    args = random_sample(rng, n=n, p=4, weighted=weighted).args
+    fit_cox(*args)  # warms numpy, outside the trace
+    tracemalloc.start()
+    try:
+        fit = fit_cox(*args)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 8 * n
+    assert fit.converged and (fit.se_robust is not None) == weighted
+
+
 def _fit_summary(data):
     fit = fit_cox(*data.args)
     return fit.beta, fit.se_model, fit.se_robust, fit.loglik_at_solution
@@ -517,31 +539,6 @@ def test_concurrent_fits_equal_sequential_ones():
         for run in runs:
             for value, expected in zip(run, want[k % 2]):
                 assert np.array_equal(value, expected)
-
-
-def test_concurrent_first_sandwich_reads_equal_a_sequential_one():
-    # the sandwich's residuals are made in the fit's one scratch, so threads
-    # making the first se_robust read of one fit at once must take turns:
-    # cached_property does not lock on Python 3.12 and later
-    rng = np.random.default_rng(37)
-    fit = fit_cox(*random_sample(rng, n=20_000, p=2).args)
-    want = robust_variance(fit)
-    barrier = threading.Barrier(4)
-
-    def read_after_barrier():
-        barrier.wait(timeout=60)
-        return robust_variance(fit)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            for _ in range(20):
-                futures = [pool.submit(read_after_barrier) for _ in range(4)]
-                for future in futures:
-                    assert np.array_equal(future.result(timeout=120), want)
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_information_is_psd():
@@ -613,7 +610,8 @@ def test_score_residuals_sum_to_zero_at_optimum():
 def test_robust_matches_model_se_when_correctly_specified():
     trial = simulate_trial(study_A_model(censoring_rate=0.0), 10**4, RandomStream(14))
     fit = fit_cox(trial.time_order,
-                  (trial.trt, *map(trial.column, ["PLNEN", "ISS", "Refr"])))
+                  (trial.trt, *map(trial.column, ["PLNEN", "ISS", "Refr"])),
+                  np.ones(trial.n))
     ratio = fit.se_robust / fit.se_model
     assert np.all(np.abs(ratio - 1.0) < 0.1)
 
@@ -714,10 +712,18 @@ def test_ties_warn_and_match_oracle():
     assert value == pytest.approx(expected, rel=1e-12)
 
 
+def sandwich(fit, data):
+    """The robust variance of ``fit``, a fit on ``data``, from its beta."""
+    bread = np.linalg.inv(score_and_information(fit.beta, *data.args)[1])
+    return robust_variance(coxph._SortedSample(*data.args), fit.beta, bread)
+
+
 def test_robust_variance_requires_fit():
     rng = np.random.default_rng(16)
-    fit = fit_cox(*random_sample(rng, n=50, p=2).args)
-    cov = robust_variance(fit)
+    data = random_sample(rng, n=50, p=2)
+    fit = fit_cox(*data.args)
+    cov = sandwich(fit, data)
+    assert np.array_equal(np.sqrt(np.diag(cov)), fit.se_robust)
     assert cov.shape == (2, 2)
     assert np.all(np.diag(cov) > 0)
     np.testing.assert_allclose(cov, cov.T, atol=1e-12)
@@ -738,7 +744,7 @@ def test_robust_variance_matches_brute_force_oracle():
         bread = np.linalg.inv(brute_force_information(*args))
         uw = data.w[:, None] * brute_force_score_and_residuals(*args)[1]
         expected = bread @ (uw.T @ uw) @ bread
-        error = np.max(np.abs(robust_variance(fit) - expected))
+        error = np.max(np.abs(sandwich(fit, data) - expected))
         assert error <= 1e-10 * np.max(np.abs(expected))
 
 

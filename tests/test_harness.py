@@ -464,9 +464,9 @@ def test_replicate_appendix_failure_names_its_stage(monkeypatch, capsys):
                    "failed: Age alone is refused\n")
 
 
-def test_each_trial_sorted_once_and_sandwich_built_when_read(monkeypatch):
-    # every fit on a trial shares its one time order, and only a fit whose
-    # robust SE is read builds the sandwich: the weighted MAIC fits
+def test_each_trial_sorted_once_and_sandwich_built_for_weighted_fits(monkeypatch):
+    # every fit on a trial shares its one time order, and only a weighted
+    # fit builds the sandwich: the MAIC fits
     counts = {"sorts": 0, "sandwiches": 0}
     argsort, sandwich = np.argsort, coxph.robust_variance
 
@@ -490,12 +490,14 @@ def test_each_trial_sorted_once_and_sandwich_built_when_read(monkeypatch):
 
     trial_A, _ = simulate_studies(parse_config(SMALL))
     w = np.random.default_rng(21).uniform(0.5, 2.0, trial_A.n)
-    fit = coxph.fit_cox(trial_A.time_order, [trial_A.trt], w)
+    args = (trial_A.time_order, [trial_A.trt], w)
     counts.update(sandwiches=0)
-    se_robust = fit.se_robust
-    assert fit.se_robust is se_robust and counts["sandwiches"] == 1
-    assert np.array_equal(se_robust,
-                          np.sqrt(np.diag(coxph.robust_variance(fit))))
+    assert coxph.fit_cox(*args[:2]).se_robust is None and counts["sandwiches"] == 0
+    fit = coxph.fit_cox(*args)
+    assert counts["sandwiches"] == 1
+    bread = np.linalg.inv(coxph.score_and_information(fit.beta, *args)[1])
+    assert np.array_equal(fit.se_robust, np.sqrt(np.diag(
+        coxph.robust_variance(coxph._SortedSample(*args), fit.beta, bread))))
 
 
 def test_each_trial_prepared_once_and_fits_equal_fresh_ones(monkeypatch):
