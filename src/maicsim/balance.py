@@ -18,8 +18,6 @@ import numpy as np
 
 from . import newton
 
-_MAX_EXPONENT = 700.0     # beyond this exp() overflows a double
-
 
 class TargetOutsideSupport(Exception):
     """The target means cannot be matched: outside the convex hull of the
@@ -52,10 +50,9 @@ def center_covariates(X_ipd: np.ndarray, target_means) -> np.ndarray:
 
 def objective_and_gradient(alpha: np.ndarray, Xc: np.ndarray):
     """Q(alpha), its gradient Xc' w and its Hessian Xc' diag(w) Xc, from one
-    w = exp(Xc alpha); (inf, nan, None) where an exponent would overflow."""
+    w = exp(Xc alpha). Where an exponent overflows, Q is inf, which the
+    solver refuses as a failed step."""
     e = Xc @ np.asarray(alpha, dtype=float)
-    if np.max(e, initial=-np.inf) > _MAX_EXPONENT:
-        return np.inf, np.full(Xc.shape[1], np.nan), None
     w = np.exp(e)
     return float(w.sum()), Xc.T @ w, Xc.T @ (w[:, None] * Xc)
 

@@ -73,10 +73,9 @@ class TimeOrder:
     on the trial reads of it: the statuses in that order, the event positions
     and the tie groups. It is built and checked once per trial and shared by
     the trial's fits, each of which adds only its design and weights
-    (``_SortedSample``). A given ``order`` is checked, not trusted."""
+    (``_SortedSample``)."""
 
-    def __init__(self, time: np.ndarray, status: np.ndarray,
-                 order: np.ndarray | None = None):
+    def __init__(self, time: np.ndarray, status: np.ndarray):
         time = np.asarray(time, dtype=float)
         status = np.asarray(status, dtype=float)
         if time.ndim != 1 or status.shape != time.shape:
@@ -85,21 +84,8 @@ class TimeOrder:
         if not np.any(status == 1):
             raise NoEvents("sample contains no events")
         n = time.shape[0]
-        if order is None:
-            order, new = _sort(time)
-        else:
-            order = np.asarray(order)
-            # a negative index names a subject to numpy, but not to bincount
-            if (order.shape != (n,) or order.dtype.kind not in "iu"
-                    or order.min() < 0
-                    or np.any(np.bincount(order, minlength=n) != 1)):
-                raise ValueError("order must be a permutation of the n subjects")
-            t = time[order]
-            if np.any(t[1:] > t[:-1]):
-                raise ValueError("order does not sort the times in descending order")
-            new = t[1:] != t[:-1]
-        self.order = order
-        self.d = status[order]
+        self.order, new = _sort(time)
+        self.d = status[self.order]
         # event positions in ascending time, the order the log-likelihood sums
         self.events = np.flatnonzero(self.d)[::-1].copy()  # np.take copies a view
         # subject i's risk set runs through the last position sharing its
@@ -253,6 +239,11 @@ def fit_cox(times: TimeOrder, columns, w=None) -> CoxFit:
         cov_model = np.linalg.inv(info)
     except np.linalg.LinAlgError as exc:
         raise SingularInformation(str(exc)) from exc
+    var_model = np.diag(cov_model)
+    if not np.all(var_model > 0):  # false for NaN
+        j = np.argmin(var_model > 0)
+        raise SingularInformation(f"model variance {var_model[j]:.3g} of column {j} "
+                                  "is not positive")
     remaining = np.abs(cov_model @ neg_score) * spread
     if converged and np.max(remaining) > _REMAINING_STEP_BOUND:
         raise MonotoneLikelihood(
@@ -260,7 +251,7 @@ def fit_cox(times: TimeOrder, columns, w=None) -> CoxFit:
             "predictor; likely separation")
     return CoxFit(
         beta=beta,
-        se_model=np.sqrt(np.diag(cov_model)),
+        se_model=np.sqrt(var_model),
         se_robust=(None if w is None else
                    np.sqrt(np.diag(robust_variance(s, beta, cov_model)))),
         loglik_at_solution=-neg_loglik,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maicsim import newton
+from maicsim import balance, newton
 from maicsim.balance import (
     TargetOutsideSupport,
     balance_report,
@@ -80,12 +80,26 @@ def test_hessian_vs_finite_differences_of_gradient():
             assert np.max(np.abs(hess[:, j] - fd) / np.maximum(1.0, np.abs(fd))) < 1e-6
 
 
-def test_objective_overflow_guard():
-    prob = center_covariates(np.array([[1000.0], [-1.0]]), [0.0])
-    q, g, hess = objective_and_gradient(np.array([10.0]), prob)
-    assert q == np.inf
-    assert np.all(np.isnan(g))
-    assert hess is None
+def test_overflowing_step_is_halved_by_the_solver(monkeypatch):
+    # the target lies next to the second row, so Newton's steps toward it
+    # overshoot: two of them overflow exp and five more give a finite Q
+    # above Q(0) = 5. No guard pre-empts the overflow; Newton halves each such
+    # step, and no numpy warning escapes the solve
+    seen = []
+
+    def recording(alpha, Xc):
+        result = objective_and_gradient(alpha, Xc)
+        seen.append(result[0])
+        return result
+
+    monkeypatch.setattr(balance, "objective_and_gradient", recording)
+    X = np.array([[-0.46, 0.08], [0.05, -0.55], [-4.15, -2.93], [0.2, -4.5],
+                  [0.02, -0.68]])
+    weights = estimate_weights(center_covariates(X, [0.05, -0.552]))
+    assert weights.converged and weights.grad_norm < 1e-12
+    assert seen.count(np.inf) == 2
+    assert sum(5 < q < np.inf for q in seen) == 5
+    assert weights.w @ X / weights.w.sum() == pytest.approx([0.05, -0.552], abs=1e-12)
 
 
 def test_closed_form_two_point_instance():
@@ -308,3 +322,5 @@ def test_balance_report_empty_covariates():
     report = balance_report(np.empty((10, 0)), np.ones(10), [], [])
     assert report.covariate_names == ()
     assert report.ess == pytest.approx(10.0)
+    with pytest.raises(ValueError, match="names do not match column count"):
+        balance_report(np.ones((10, 2)), np.ones(10), [0.0, 0.0], ["a"])

@@ -42,6 +42,9 @@ def test_study_A_covariate_means():
 def test_single_subject_shape():
     X = simulate_covariates(study_A_covariates(), 1, RandomStream(0))
     assert X.shape == (1, 4)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            simulate_covariates(study_A_covariates(), n, RandomStream(0))
 
 
 def test_degenerate_bernoulli_all_ones():
@@ -53,6 +56,14 @@ def test_duplicate_names_rejected():
     specs = [CovariateSpec("a", Bernoulli(0.5)), CovariateSpec("a", Bernoulli(0.5))]
     with pytest.raises(ValueError, match=r"duplicate covariate names: \['a', 'a'\]"):
         OutcomeModelSpec(0.0, RATE, 0.0, specs)
+
+
+def test_out_of_range_rates_rejected():
+    for rate in (0.0, -RATE):
+        with pytest.raises(ValueError, match="baseline_rate must be positive"):
+            OutcomeModelSpec(0.0, rate, 0.0, ())
+    with pytest.raises(ValueError, match="censoring_rate must be non-negative"):
+        OutcomeModelSpec(0.0, RATE, -CENS_RATE, ())
 
 
 def test_linear_predictor_zero_model():
@@ -284,6 +295,11 @@ def test_csv_malformed_rows_rejected():
     rows = [line.rsplit(",", 1)[0] for line in text.splitlines()[1:]]
     with pytest.raises(ValueError, match="fields"):
         trial_from_csv(io.BytesIO(("\n".join([header, *rows]) + "\n").encode()))
+    # a header that does not start with subject_id or end with trt, time, status
+    for bad in (header.replace("subject_id", "id"), header.replace("trt,time", "time,trt"),
+                header + ",extra"):
+        with pytest.raises(ValueError, match="unrecognized trial CSV header"):
+            trial_from_csv(io.BytesIO("\n".join([bad, first, rest]).encode()))
     # a header that names Age twice would leave the second Age column unread
     twice = text.replace("PLNEN", "Age", 1)
     with pytest.raises(ValueError, match="duplicate covariate names"):

@@ -222,23 +222,6 @@ def test_score_and_residuals_match_brute_force_oracle():
         np.testing.assert_allclose(score_residuals(beta, *data.args), resid, rtol=1e-10)
 
 
-def test_shared_time_order_is_checked():
-    rng = np.random.default_rng(20)
-    data = random_sample(rng, n=12, p=2)
-    order = TimeOrder(data.time, data.status).order
-    shared = TimeOrder(data.time, data.status, order)
-    beta = np.array([0.3, -0.2])
-    assert partial_loglik(beta, shared, *data.args[1:]) == \
-        partial_loglik(beta, *data.args)
-    # the input order, which does not sort the times, an ascending order,
-    # and orders that are not permutations of the subjects, the last one
-    # naming subject 11 by the index -1
-    for bad in (np.arange(12), order[::-1], order[:-1], np.zeros(12, dtype=int),
-                order.astype(float), np.where(order == 11, -1, order)):
-        with pytest.raises(ValueError, match="order"):
-            TimeOrder(data.time, data.status, bad)
-
-
 # times from a pool of four values tie in most draws; times from a
 # continuous range almost never do
 POOL_TIMES = st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.5]), min_size=1, max_size=40)
@@ -281,15 +264,8 @@ def test_time_order_of_other_arrays_is_checked():
     rng = np.random.default_rng(41)
     data = random_sample(rng, n=12, p=2)
     shared, columns, w = data.args
-    beta = np.array([0.3, -0.2])
-    # a fit takes the trial's TimeOrder as it is; its order given for a copy
-    # of the times is checked, and for other times refused
+    # a fit takes the trial's TimeOrder as it is
     assert coxph._SortedSample(shared, columns, w).time_order is shared
-    again = TimeOrder(data.time.copy(), data.status, shared.order)
-    assert partial_loglik(beta, again, columns, w) == \
-        partial_loglik(beta, shared, columns, w)
-    with pytest.raises(ValueError, match="order"):
-        TimeOrder(data.time[::-1].copy(), data.status, shared.order)
 
 
 def test_design_columns_fit_as_the_design_array():
@@ -319,6 +295,10 @@ def test_design_rows_must_be_subjects():
             fit_cox(times, columns)
     with pytest.raises(ValueError, match="weights .* the n = 3 subjects"):
         fit_cox(times, [z], np.ones(2))
+    # and every subject has one time and one status
+    for time, status in ((np.ones((3, 1)), np.ones((3, 1))), (np.ones(3), np.ones(2))):
+        with pytest.raises(ValueError, match="1-D of matching length"):
+            TimeOrder(time, status)
 
 
 def test_fit_memory_grows_linearly_in_covariates():
@@ -758,3 +738,6 @@ def test_non_finite_values_rejected():
             fit_cox(times, [np.array([0.0, bad, 0.0])])
         with pytest.raises(ValueError, match="weights"):
             fit_cox(times, [z], np.array([1.0, bad, 1.0]))
+    for bad in (np.nan, 2.0, -1.0):
+        with pytest.raises(ValueError, match="status must be 0/1"):
+            TimeOrder(np.array([1.0, 2.0, 3.0]), np.array([1.0, bad, 0.0]))

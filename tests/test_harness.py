@@ -335,6 +335,8 @@ UNIFORM = {"kind": "uniform01"}
      "study_A.covariates[0].dist.lam", "unknown field"),
     ({"interaction": {"covariate": "Age", "coefficient": 0.1, "study": "A"}},
      "interaction.study", "unknown field"),
+    ({"study_A": {"censoring_rate": -1.0}}, "study_A",
+     "censoring_rate must be non-negative"),
 ])
 def test_parser_errors_name_their_path(doc, path, text):
     with pytest.raises(ConfigError) as info:
@@ -578,6 +580,39 @@ def test_stage_annotation_on_failure():
     assert isinstance(info.value, StageError)
     assert info.value.stage == "weights"
     assert isinstance(info.value.__cause__, TargetOutsideSupport)
+
+
+@pytest.mark.parametrize("n, seed, stage, cause", [
+    # Newton steps that overflow exp or leave a risk set's sum 0, refused
+    # until no halving is left
+    (100, 93, "fit_conditional_B", coxph.NotConverged),
+    (100, 113, "fit_conditional_A", coxph.NotConverged),
+    # a negative model variance at the last iterate
+    (50, 1394, "fit_conditional_B", coxph.SingularInformation),
+])
+def test_small_sample_fit_failures_are_cox_errors(n, seed, stage, cause):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StageError) as info:
+            run_scenario(parse_config({"n": n, "seed": seed}))
+    assert info.value.stage == stage
+    assert type(info.value.__cause__) is cause
+
+
+def test_no_small_sample_scenario_fails_on_a_warning():
+    # at n = 50 about 5 % of seeds fail, each on a refusal the pipeline
+    # names; no numpy warning, raised as an error, is the cause of any
+    failed = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(1, 501):
+            try:
+                run_scenario(parse_config({"n": 50, "seed": seed}))
+            except StageError as exc:
+                failed += 1
+                assert isinstance(exc.__cause__, (coxph.CoxError, TargetOutsideSupport,
+                                                  WeightsNotConverged)), (seed, exc)
+    assert 0 < failed < 50
 
 
 def _constant_refr(p):
@@ -843,6 +878,12 @@ def test_cli_input_failures_are_one_line_messages(tmp_path: Path, capsys):
                    write("age_targets.json", '{"Age": 65.0}'), "--balance-set", "Age"],
                   "duplicate covariate names: ['Age', 'Age']"))
     cases.append((["fit", "--data", twice], "duplicate covariate names"))
+    # a status other than 0/1, and a header without subject_id
+    status2 = write("status2.csv", "subject_id,x,trt,time,status\n0,1,0,1.5,2\n1,0,1,2.5,1\n")
+    cases.append((["fit", "--data", status2], "status must be 0/1"))
+    no_id = write("no_id.csv", "id,x,trt,time,status\n0,1,0,1.5,1\n1,0,1,2.5,1\n")
+    cases.append((["weights", "--ipd", no_id, "--targets", str(x_targets),
+                   "--balance-set", "x"], "unrecognized trial CSV header"))
     # a covariate with one value in every row
     refr = write("refr.json", json.dumps(_constant_refr(1.0)))
     assert cli.main(["simulate", "--config", refr, "--out", str(tmp_path / "refr")]) == 0

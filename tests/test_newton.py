@@ -1,5 +1,8 @@
-"""The singular-start rule of the Newton solver: each Cholesky pivot is
-measured against its own diagonal entry, so no unit changes a verdict."""
+"""The rules of the Newton solver: each Cholesky pivot at the start is
+measured against its own diagonal entry, so no unit changes a verdict, and a
+value that is not finite is a failed step."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +40,36 @@ def test_pivot_rule_is_free_of_units(one_minus_r2, singular):
                 newton.minimize(quadratic(h), 2)
         else:
             assert newton.minimize(quadratic(h), 2)[4]
+
+
+# a numpy operation that warns and gives NaN, +inf or -inf
+NOT_FINITE = {"nan": lambda: np.log(np.float64(-1.0)),
+              "+inf": lambda: np.exp(np.float64(1000.0)),
+              "-inf": lambda: np.log(np.float64(0.0))}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_FINITE))
+def test_value_that_is_not_finite_is_a_failed_step(kind):
+    # a quadratic bowl, whose value is not finite off the start: every step
+    # and each of its halvings fails, -inf as much as NaN and +inf
+    h = np.array([[2.0, 0.5], [0.5, 1.0]])
+    bowl = quadratic(h)
+    calls = []
+
+    def evaluate(x):
+        calls.append(x)
+        f, g, hess = bowl(x)
+        return (f if not np.any(x) else NOT_FINITE[kind]()), g, hess
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, f, g, hess, converged, iterations = newton.minimize(evaluate, 2)
+    assert not converged and iterations == 0
+    assert not np.any(x) and f == bowl(x)[0]
+    assert len(calls) == newton.MAX_HALVINGS + 2
+    # the trial steps halve from the full Newton step
+    steps = np.array(calls[1:])
+    np.testing.assert_array_equal(steps[1:], steps[:-1] / 2)
 
 
 def cox_designs(rng, n):

@@ -118,6 +118,12 @@ def test_parameter_validation(bad):
         bad()
 
 
+def test_unknown_distribution_spec_rejected():
+    for spec in ("normal", None, {"kind": "normal", "mean": 0.0, "sd": 1.0}):
+        with pytest.raises(TypeError, match="unknown distribution spec"):
+            draw_variates(RandomStream(0), spec, 3)
+
+
 def test_exponential_inverse_at_half():
     # quantile identity: -ln(0.5)/1 = ln 2
     assert exponential_inverse(0.5, 1.0) == pytest.approx(math.log(2), abs=1e-12)
