@@ -6,8 +6,9 @@ objective Q(alpha) = sum_i exp(Xc_i . alpha) by Newton's method, with its
 gradient Xc' w and Hessian Xc' diag(w) Xc, yields tilting coefficients whose
 weights w_i = exp(Xc_i . alpha) satisfy the first-order moment condition:
 weighted IPD covariate means equal the target means. No unit of a covariate
-changes the solve, the test of a singular start, or the one test of a target
-outside the IPD's hull: weighted means off by over 1e-6 of the column's largest |Xc|.
+changes the solve, the test of a singular start, or the tests of a target outside
+the IPD's hull, weighted means off by over 1e-6 of the column's largest |Xc|, and
+on its boundary, weights of 0.
 """
 
 from __future__ import annotations
@@ -75,6 +76,9 @@ def estimate_weights(Xc: np.ndarray) -> MaicWeights:
             f"weighted means miss the target means by up to {rel_gap:.3g}; "
             "target means lie outside the convex hull of the IPD covariates")
     w = np.exp(Xc @ alpha)
+    if not np.all(w > 0):  # a target on the hull's boundary is met by weights of 0
+        raise TargetOutsideSupport("some weights are 0: target means lie on the "
+                                   "boundary of the convex hull of the IPD covariates")
     return MaicWeights(
         alpha=alpha,
         w=w,

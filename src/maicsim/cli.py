@@ -20,10 +20,13 @@ def _cmd_simulate(args) -> int:
     cfg = _read_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    trial_A, trial_B = harness.simulate_studies(cfg)
-    for name, trial in (("study_A.csv", trial_A), ("study_B.csv", trial_B)):
-        with open(out / name, "w") as f:
-            cohortsim.write_trial_csv(trial, f)
+    # study A is written, and freed, before study B is drawn
+    studies = harness.simulate_studies(cfg)
+    with open(out / "study_A.csv", "w") as f:
+        cohortsim.write_trial_csv(next(studies), f)
+    trial_B = next(studies)
+    with open(out / "study_B.csv", "w") as f:
+        cohortsim.write_trial_csv(trial_B, f)
     targets = dict(zip(trial_B.covariate_names,
                        map(float, cohortsim.covariate_means(trial_B))))
     (out / "targets.json").write_text(json.dumps(targets, indent=2) + "\n")

@@ -83,43 +83,50 @@ class TimeOrder:
         check_outcomes(time, status)
         if not np.any(status == 1):
             raise NoEvents("sample contains no events")
-        n = time.shape[0]
         self.order, new = _sort(time)
         self.d = status[self.order]
         # event positions in ascending time, the order the log-likelihood sums
         self.events = np.flatnonzero(self.d)[::-1].copy()  # np.take copies a view
-        # subject i's risk set runs through the last position sharing its
-        # time; the events at or before its time start at the first such
-        # position, which ``first`` counts from the end, as the reversed
-        # cumulative sums of ``events_through`` hold it
-        self.first = self.last = None
+        # subject i's risk set runs through the last position sharing its time;
+        # the events at or before its time start at the first. ``ties`` pairs the
+        # tied positions with those, for each sum in the buffer it is cumulated in
+        # (the events' from the end), and is None for untied times
+        self.ties = None
         if not np.all(new):
-            group = np.concatenate(([0], np.cumsum(new)))
-            bounds = np.flatnonzero(np.concatenate(([True], new, [True])))
-            self.first = n - 1 - bounds[:-1][group]
-            self.last = bounds[1:][group] - 1
+            starts, ends = np.concatenate(([True], new)), np.concatenate((new, [True]))
+            tied = np.flatnonzero(~(starts & ends))
+            group = np.cumsum(starts[tied]) - 1
+            first, last = tied[starts[tied]][group], tied[ends[tied]][group]
+            self.ties = (tied, last), (time.size - 1 - tied, time.size - 1 - first)
 
-    # Each sum below writes its cumulative sums to ``sums`` and, with tied
-    # times, gathers them into ``gathered``; it returns the result and the
-    # one of the two it leaves free. ``gathered`` may be ``x`` itself. The
-    # gathers clip because ``mode="raise"`` buffers its output.
+    # Each sum below writes its cumulative sums to ``sums``, patches the tied
+    # positions through ``free``, and returns both; ``free`` may be ``x`` itself.
 
-    def at_risk(self, x: np.ndarray, sums: np.ndarray, gathered: np.ndarray):
+    def at_risk(self, x: np.ndarray, sums: np.ndarray, free: np.ndarray):
         """Sums of ``x`` (along its last axis) over each subject's risk set."""
         x.cumsum(axis=-1, out=sums)
-        if self.last is None:
-            return sums, gathered
-        sums.take(self.last, axis=-1, out=gathered, mode="clip")
-        return gathered, sums
+        if self.ties is not None:
+            _copy_sums(sums, free, *self.ties[0])
+        return sums, free
 
-    def events_through(self, x: np.ndarray, sums: np.ndarray, gathered: np.ndarray):
+    def events_through(self, x: np.ndarray, sums: np.ndarray, free: np.ndarray):
         """Sums of ``x`` (along its last axis, zero off events) over the events
         at or before each subject's time."""
         x[..., ::-1].cumsum(axis=-1, out=sums)
-        if self.first is None:
-            return sums[..., ::-1], gathered
-        sums.take(self.first, axis=-1, out=gathered, mode="clip")
-        return gathered, sums
+        if self.ties is not None:
+            _copy_sums(sums, free, *self.ties[1])
+        return sums[..., ::-1], free
+
+
+def _copy_sums(sums: np.ndarray, free: np.ndarray, to: np.ndarray, source: np.ndarray):
+    """Copies each row's sums at ``source`` onto ``to`` through a contiguous view of
+    ``free``: ``take`` into a strided view or with ``mode="raise"``, or a fancy
+    assignment, would allocate a buffer."""
+    rows = np.atleast_2d(sums)
+    copied = free.reshape(-1)[:rows.shape[0] * to.size].reshape(rows.shape[0], -1)
+    rows.take(source, axis=1, out=copied, mode="clip")
+    for row, values in zip(rows, copied):
+        row.put(to, values)
 
 
 class _SortedSample:
@@ -147,7 +154,7 @@ class _SortedSample:
             self.w = w[times.order]
             self.w_event = np.where(times.d == 1, self.w, 0.0)
         self.time_order = times
-        if times.last is not None:
+        if times.ties is not None:
             warnings.warn("tied event times present; using Breslow tie handling")
         # one gather per column, straight into its row
         self.z = np.empty((len(columns), n))

@@ -18,6 +18,7 @@ import json
 import math
 import numbers
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 
 from . import balance, estimands, stochastic
@@ -284,14 +285,14 @@ def _stage(name, fn, *args, **kwargs):
 
 
 def simulate_studies(cfg: ScenarioConfig, stream: RandomStream | None = None
-                     ) -> tuple[TrialData, TrialData]:
-    """Study A's and then study B's IPD under ``cfg``, drawn from ``stream``
-    (by default a fresh stream seeded with ``cfg.seed``)."""
+                     ) -> Iterator[TrialData]:
+    """Yields study A's and then study B's IPD under ``cfg``, drawn from ``stream``
+    (by default a fresh stream seeded with ``cfg.seed``). Study B is drawn only
+    when it is asked for, so that a caller can free study A first."""
     if stream is None:
         stream = RandomStream(cfg.seed)
-    trial_A = _stage("simulate_A", simulate_trial, cfg.study_A, cfg.n, stream)
-    trial_B = _stage("simulate_B", simulate_trial, cfg.study_B, cfg.n, stream)
-    return trial_A, trial_B
+    yield _stage("simulate_A", simulate_trial, cfg.study_A, cfg.n, stream)
+    yield _stage("simulate_B", simulate_trial, cfg.study_B, cfg.n, stream)
 
 
 def _maic_estimate(trial_A: TrialData, summary_B: AggregateSummary, balance_set):

@@ -178,6 +178,17 @@ def test_target_outside_support():
         estimate_weights(prob)
 
 
+def test_target_on_hull_boundary_named():
+    # at the largest x Newton drives the other weights to exactly 0, and the
+    # weighted mean meets the target
+    X = np.array([[-2.2], [39.1], [38.4], [-0.6]])
+    with pytest.raises(TargetOutsideSupport, match="boundary of the convex hull"):
+        balance.weight_to_means(X, [39.1], ["x"])
+    # just inside the hull the weights are all positive
+    weights, report = balance.weight_to_means(X, [39.0], ["x"])
+    assert np.all(weights.w > 0) and report.ess > 0
+
+
 def test_target_outside_hull_named_when_newton_stops_unconverged():
     # below every IPD value Newton moves alpha by about 1 / gap a step, so it
     # runs out of steps with a vanishing gradient, while the weighted mean

@@ -374,19 +374,24 @@ class AllocatingKernel:
 
 
 @pytest.mark.filterwarnings("ignore:tied event times")
-@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("tied", [False, True, "pair"])
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_scratch_kernel_matches_allocating_kernel_bitwise(p, weighted, tied):
-    rng = np.random.default_rng(100 * p + 10 * weighted + tied)
+    rng = np.random.default_rng(100 * p + 10 * weighted + (2 if tied == "pair" else tied))
     # a larger fit first, which must leave nothing that this one reads;
     # an odd n puts the scratch's rows at odd offsets
     fit_cox(*random_sample(rng, n=2001, p=p + 1).args)
     data = random_sample(rng, n=1001, p=p, weighted=weighted)
-    if tied:
+    if tied == "pair":
+        # one tied pair of events among distinct times
+        time, events = data.time.copy(), np.flatnonzero(data.status)
+        time[events[1]] = time[events[0]]
+        data = replace(data, time=time)
+    elif tied:
         data = replace(data, time=np.ceil(10 * data.time) / 10)
     ref = AllocatingKernel(data)
-    assert (ref.first is not None) == tied
+    assert (ref.first is not None) == bool(tied)
     args = data.args
     assert (args[2] is None) == (not weighted)
     for beta in (np.zeros(p), rng.normal(scale=0.5, size=p)):
@@ -409,7 +414,7 @@ def test_unweighted_fit_equals_fit_with_unit_weights_bitwise(p, tied):
     if tied:
         data = replace(data, time=np.ceil(10 * data.time) / 10)
     times, columns, _ = data.args
-    assert (times.last is not None) == tied
+    assert (times.ties is not None) == tied
     assert coxph._SortedSample(times, columns).w == 1.0
     assert coxph._SortedSample(times, columns, np.ones(801)).w.shape == (801,)
     unweighted = fit_cox(times, columns)
@@ -418,6 +423,24 @@ def test_unweighted_fit_equals_fit_with_unit_weights_bitwise(p, tied):
     assert unweighted.se_robust is None and weighted.se_robust.shape == (p,)
     for key in ("beta", "se_model", "loglik_at_solution", "iterations"):
         assert np.array_equal(getattr(unweighted, key), getattr(weighted, key))
+
+
+def test_a_tie_costs_memory_of_the_tied_positions_only():
+    # n distinct times but one tied pair, every subject an event: the order,
+    # statuses and event positions take 3 x 8n, and the tie adds O(1), not
+    # an n-length map per risk-set sum
+    n = 100_000
+    time = np.arange(1.0, n + 1)
+    time[1] = time[0]
+    status = np.ones(n)
+    tracemalloc.start()
+    try:
+        times = TimeOrder(time, status)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert times.ties is not None
+    assert held < 4 * 8 * n
 
 
 def test_warm_score_evaluation_allocates_less_than_one_vector():
@@ -443,7 +466,7 @@ def test_warm_evaluations_allocate_nothing_of_length_n(tied):
         if tied:
             data = replace(data, time=np.ceil(10 * data.time) / 10)
         s = coxph._SortedSample(*data.args)
-        assert (s.time_order.last is not None) == tied
+        assert (s.time_order.ties is not None) == tied
         assert np.shape(s.w) == ((n,) if weighted else ())
         beta = rng.normal(scale=0.1, size=p)
         coxph._score_info(s, beta)  # warms numpy; s made its scratch already
@@ -459,7 +482,7 @@ def test_fit_results_do_not_alias_the_scratch(tied):
     data = random_sample(rng, n=500, p=2)
     if tied:
         data = replace(data, time=np.ceil(10 * data.time) / 10)
-    assert (data.args[0].last is not None) == tied
+    assert (data.args[0].ties is not None) == tied
     at_once = fit_cox(*data.args)
     at_once_se = at_once.se_robust
     late = fit_cox(*data.args)

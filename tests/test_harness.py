@@ -9,6 +9,7 @@ import time
 import tracemalloc
 import types
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -878,6 +879,12 @@ def test_cli_input_failures_are_one_line_messages(tmp_path: Path, capsys):
                    write("age_targets.json", '{"Age": 65.0}'), "--balance-set", "Age"],
                   "duplicate covariate names: ['Age', 'Age']"))
     cases.append((["fit", "--data", twice], "duplicate covariate names"))
+    # a target on the boundary of the IPD's convex hull: the largest x
+    hull = write("hull.csv", "subject_id,x,trt,time,status\n0,-2.2,0,1.5,1\n"
+                 "1,39.1,1,2.5,1\n2,38.4,0,3.5,1\n3,-0.6,1,4.5,1\n")
+    cases.append((["weights", "--ipd", hull, "--targets",
+                   write("hull_targets.json", '{"x": 39.1}'), "--balance-set", "x"],
+                  "boundary of the convex hull"))
     # a status other than 0/1, and a header without subject_id
     status2 = write("status2.csv", "subject_id,x,trt,time,status\n0,1,0,1.5,2\n1,0,1,2.5,1\n")
     cases.append((["fit", "--data", status2], "status must be 0/1"))
@@ -966,6 +973,24 @@ def test_cli_warnings_are_one_line(tmp_path: Path):
     assert json.loads(proc.stdout)["scale"] == "marginal"
     assert proc.stderr == ("maicsim fit: warning: tied event times present; "
                            "using Breslow tie handling\n")
+
+
+def test_cli_simulate_frees_study_A_before_drawing_study_B(tmp_path: Path, monkeypatch):
+    # the command writes each trial and drops it before the next is drawn,
+    # so it never holds both
+    refs, alive = [], []
+
+    def simulate_trial(*args):
+        alive.append([ref() is not None for ref in refs])
+        trial = cohortsim.simulate_trial(*args)
+        refs.append(weakref.ref(trial.X))
+        return trial
+
+    monkeypatch.setattr(harness, "simulate_trial", simulate_trial)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL))
+    assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert alive == [[], [False]]
 
 
 def test_cli_simulate_writes_the_trials_to_ten_digits(tmp_path: Path):
