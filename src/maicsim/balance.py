@@ -34,9 +34,9 @@ class MaicWeights:
     alpha: np.ndarray
     w: np.ndarray
     ess: float
-    converged: bool
     grad_norm: float
     iterations: int
+    converged = True  # no other is returned; the benchmark's hooks read it
 
 
 def center_covariates(X_ipd: np.ndarray, target_means) -> np.ndarray:
@@ -59,7 +59,8 @@ def objective_and_gradient(alpha: np.ndarray, Xc: np.ndarray):
 
 
 def estimate_weights(Xc: np.ndarray) -> MaicWeights:
-    """Weights that zero the weighted column means of the centered ``Xc``."""
+    """Weights that zero the weighted column means of the centered ``Xc``, from
+    a converged solve (else ``WeightsNotConverged``) inside the IPD's hull."""
     n, K = Xc.shape
     if K < 1:
         raise ValueError("at least one covariate is required")
@@ -79,12 +80,16 @@ def estimate_weights(Xc: np.ndarray) -> MaicWeights:
     if not np.all(w > 0):  # a target on the hull's boundary is met by weights of 0
         raise TargetOutsideSupport("some weights are 0: target means lie on the "
                                    "boundary of the convex hull of the IPD covariates")
+    grad_norm = float(np.max(np.abs(grad)))
+    if not converged:
+        raise WeightsNotConverged(
+            f"weight estimate stopped unconverged after {iterations} "
+            f"Newton steps (max |gradient| {grad_norm:.3g})")
     return MaicWeights(
         alpha=alpha,
         w=w,
         ess=effective_sample_size(w),
-        converged=converged,
-        grad_norm=float(np.max(np.abs(grad))),
+        grad_norm=grad_norm,
         iterations=iterations,
     )
 
@@ -93,6 +98,9 @@ def effective_sample_size(w: np.ndarray) -> float:
     w = np.asarray(w, dtype=float)
     if not (w.size and np.all((w > 0) & (w < np.inf))):
         raise ValueError("need at least one weight, all finite and positive")
+    # weights c w give the same ESS; w over a power of two near the largest
+    # weight is exact and keeps sum(w)^2 and sum(w^2) finite and non-zero
+    w = np.ldexp(w, -np.frexp(np.max(w))[1])
     return float(w.sum() ** 2 / (w**2).sum())
 
 
@@ -142,12 +150,7 @@ def balance_report(X_ipd: np.ndarray, w: np.ndarray, target_means,
 
 def weight_to_means(X_ipd: np.ndarray, target_means,
                     names) -> tuple[MaicWeights, BalanceReport]:
-    """The MAIC weighting step: weights that match the means of ``X_ipd``'s
-    columns to ``target_means``, refused unless Newton converged, and the
-    balance they reach."""
+    """The MAIC weighting step: the converged weights that match the means of
+    ``X_ipd``'s columns to ``target_means``, and the balance they reach."""
     weights = estimate_weights(center_covariates(X_ipd, target_means))
-    if not weights.converged:
-        raise WeightsNotConverged(
-            f"weight estimate stopped unconverged after {weights.iterations} "
-            f"Newton steps (max |gradient| {weights.grad_norm:.3g})")
     return weights, balance_report(X_ipd, weights.w, target_means, names)

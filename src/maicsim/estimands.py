@@ -1,9 +1,9 @@
 """Treatment-effect estimation: marginal and conditional effects, the
 aggregate summary a trial publishes, and the anchored indirect comparison.
 
-Every Cox fit is made, and refused unless converged, in ``_fit``. Estimates
-carry their scale; combining a marginal with a conditional one raises
-ScaleMismatch, since a hazard ratio is non-collapsible.
+Every fit is ``coxph.fit_cox`` on the trial's one ``TimeOrder``, which returns
+only a converged fit. Estimates carry their scale; combining a marginal with a
+conditional one raises ScaleMismatch, since a hazard ratio is non-collapsible.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohortsim import OutcomeModelSpec, TrialData, covariate_means, simulate_trial
-from .coxph import CoxFit, NotConverged, fit_cox
+from .coxph import fit_cox
 from .stochastic import RandomStream
 
 MARGINAL = "marginal"
@@ -84,16 +84,6 @@ def _require_same_scale(d_AC: EffectEstimate, d_BC: EffectEstimate):
             "marginal and conditional hazard ratios are distinct estimands")
 
 
-def _fit(trial: TrialData, columns, weights: np.ndarray | None = None) -> CoxFit:
-    """The converged Cox fit of ``trial``'s outcomes, on its one ``TimeOrder``,
-    on the covariate vectors ``columns``; ``NotConverged`` if Newton stopped early."""
-    fit = fit_cox(trial.time_order, columns, weights)
-    if not fit.converged:
-        raise NotConverged(f"Cox fit stopped unconverged after {fit.iterations} "
-                           f"Newton steps (max |score| {fit.score_norm:.3g})")
-    return fit
-
-
 def marginal_effect(trial: TrialData, weights: np.ndarray | None = None,
                     population: str = "") -> EffectEstimate:
     """Univariable (optionally weighted) Cox fit of outcome on treatment.
@@ -101,7 +91,7 @@ def marginal_effect(trial: TrialData, weights: np.ndarray | None = None,
     With weights the robust sandwich standard error is reported, since the
     weighted score contributions are no longer independent unit terms.
     """
-    fit = _fit(trial, (trial.trt,), weights)
+    fit = fit_cox(trial.time_order, (trial.trt,), weights)
     se = fit.se_robust[0] if weights is not None else fit.se_model[0]
     return EffectEstimate(float(fit.beta[0]), float(se), MARGINAL, population)
 
@@ -109,7 +99,7 @@ def marginal_effect(trial: TrialData, weights: np.ndarray | None = None,
 def conditional_effect(trial: TrialData, adjustment_set,
                        population: str = "") -> EffectEstimate:
     """Treatment coefficient of the Cox fit adjusted for the named covariates."""
-    fit = _fit(trial, (trial.trt, *map(trial.column, adjustment_set)))
+    fit = fit_cox(trial.time_order, (trial.trt, *map(trial.column, adjustment_set)))
     return EffectEstimate(float(fit.beta[0]), float(fit.se_model[0]),
                           CONDITIONAL, population)
 

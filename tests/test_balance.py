@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from maicsim import balance, newton
 from maicsim.balance import (
+    MaicWeights,
     TargetOutsideSupport,
+    WeightsNotConverged,
     balance_report,
     center_covariates,
     effective_sample_size,
@@ -202,6 +204,26 @@ def test_target_outside_hull_named_when_newton_stops_unconverged():
         assert weights.converged and weights.iterations < newton.MAX_ITERS
 
 
+def test_unfinished_solve_refused_by_estimate_weights(monkeypatch):
+    # a Newton that stops at the solution but reports itself unconverged: an
+    # in-hull target is refused as unconverged, an out-of-hull one keeps its name
+    minimize = newton.minimize
+    monkeypatch.setattr(newton, "minimize", lambda *args: (
+        *minimize(*args)[:4], False, newton.MAX_ITERS))
+    age = np.random.default_rng(3).normal(59.0, 1.0, size=(1000, 1))
+    with pytest.raises(WeightsNotConverged,
+                       match=f"unconverged after {newton.MAX_ITERS} Newton steps"):
+        estimate_weights(center_covariates(age, [59.0]))
+    with pytest.raises(WeightsNotConverged):
+        balance.weight_to_means(age, [59.0], ["Age"])
+    with pytest.raises(TargetOutsideSupport, match="miss the target means"):
+        estimate_weights(center_covariates(age, [52.0]))
+    # nor can weights be built that say they did not converge
+    with pytest.raises(TypeError):
+        MaicWeights(alpha=np.zeros(1), w=np.ones(2), ess=2.0, grad_norm=0.0,
+                    iterations=0, converged=False)
+
+
 def test_verdict_and_solve_do_not_depend_on_covariate_units():
     # the moment condition and the Newton solve are free of each column's
     # unit; so must be the test of a target outside the hull and the test of
@@ -283,12 +305,16 @@ def test_ess_rejects_nonpositive():
             effective_sample_size(np.array(w))
 
 
-@given(st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=50))
+@given(st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=50),
+       st.integers(min_value=-900, max_value=900))
 @settings(max_examples=100)
-def test_ess_bounds_property(ws):
+def test_ess_bounds_property(ws, power):
     w = np.array(ws)
     ess = effective_sample_size(w)
     assert 0 < ess <= len(w) * (1 + 1e-12)
+    # scaled by 2^power, so far that sum(w)^2 or sum(w^2) alone would overflow
+    # or underflow, the weights give the same ESS
+    assert effective_sample_size(np.ldexp(w, power)) == ess
     if np.var(w) == 0:
         assert ess == pytest.approx(len(w), rel=1e-9)
     elif np.var(w) / np.mean(w) ** 2 > 1e-6:

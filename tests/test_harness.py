@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import json
 import math
@@ -710,17 +709,19 @@ def test_unconverged_solvers_fail_loudly(monkeypatch, tmp_path: Path):
     out = tmp_path / "data"
     assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
     with monkeypatch.context() as patch:
-        patch.setattr(balance, "estimate_weights", lambda prob: dataclasses.replace(
-            estimate_weights(prob), converged=False))
+        # the weight solve alone reports itself unconverged at its own solution
+        minimize = newton.minimize
+        patch.setattr(balance, "newton", types.SimpleNamespace(
+            minimize=lambda *args: (*minimize(*args)[:4], False, newton.MAX_ITERS)))
         with pytest.raises(StageError) as info:
             run_scenario(parse_config(SMALL))
         assert info.value.stage == "weights"
         assert isinstance(info.value.__cause__, WeightsNotConverged)
     monkeypatch.setattr(newton, "MAX_ITERS", 1)
     _, trial_B = simulate_studies(parse_config(SMALL))
-    # the fit still reports its flag; the pipeline refuses the result
-    assert not coxph.fit_cox(coxph.TimeOrder(trial_B.time, trial_B.status),
-                             [trial_B.trt]).converged
+    # the fit refuses its own unfinished solve, inside the pipeline or not
+    with pytest.raises(coxph.NotConverged, match="unconverged after 1 Newton steps"):
+        coxph.fit_cox(coxph.TimeOrder(trial_B.time, trial_B.status), [trial_B.trt])
     with pytest.raises(StageError) as info:
         run_scenario(parse_config(SMALL))
     assert info.value.stage == "summarize_B"
