@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import sys
 import warnings
@@ -11,8 +12,9 @@ from pathlib import Path
 from . import balance, cohortsim, coxph, estimands, harness
 
 
+# text files are UTF-8 whatever the locale, and one read may start with a BOM
 def _read_config(path: str | None) -> harness.ScenarioConfig:
-    text = Path(path).read_text() if path else ""
+    text = Path(path).read_text(encoding="utf-8-sig") if path else ""
     return harness.parse_config(text)
 
 
@@ -22,14 +24,15 @@ def _cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     # study A is written, and freed, before study B is drawn
     studies = harness.simulate_studies(cfg)
-    with open(out / "study_A.csv", "w") as f:
+    with open(out / "study_A.csv", "w", encoding="utf-8") as f:
         cohortsim.write_trial_csv(next(studies), f)
     trial_B = next(studies)
-    with open(out / "study_B.csv", "w") as f:
+    with open(out / "study_B.csv", "w", encoding="utf-8") as f:
         cohortsim.write_trial_csv(trial_B, f)
     targets = dict(zip(trial_B.covariate_names,
                        map(float, cohortsim.covariate_means(trial_B))))
-    (out / "targets.json").write_text(json.dumps(targets, indent=2) + "\n")
+    (out / "targets.json").write_text(json.dumps(targets, indent=2) + "\n",
+                                      encoding="utf-8")
     print(f"wrote study_A.csv, study_B.csv, targets.json to {out}")
     return 0
 
@@ -37,17 +40,20 @@ def _cmd_simulate(args) -> int:
 def _cmd_weights(args) -> int:
     with open(args.ipd, "rb") as f:
         trial = cohortsim.trial_from_csv(f)
-    targets = harness._typed(json.loads(Path(args.targets).read_text()), dict, "targets")
+    targets = harness._typed(json.loads(Path(args.targets).read_text(encoding="utf-8-sig")),
+                             dict, "targets")
     names = harness._name_list(args.balance_set.split(","), "--balance-set")
     missing = [nm for nm in names if nm not in targets]
     if missing:
         raise ValueError(f"no target mean for covariate(s): {', '.join(missing)}")
     # the config's rule for numbers: finite, and not a boolean
     target_means = [harness._number(targets, nm, None, "targets") for nm in names]
-    weights, report = balance.weight_to_means(trial.columns(names), target_means, names)
+    # the solve keeps only the columns it reads, and the file's table is freed
+    trial = trial.only(names)
+    weights, report = balance.weight_to_means(trial.X, target_means, names)
     sys.stdout.write(report.to_tsv())
     if args.out:
-        with open(args.out, "w") as f:
+        with open(args.out, "w", encoding="utf-8") as f:
             f.write("weight\n")
             f.writelines(cohortsim.format_rows("%.10g\n", [weights.w]))
     return 0
@@ -59,19 +65,25 @@ def _cmd_fit(args) -> int:
                          "use one or the other")
     with open(args.data, "rb") as f:
         trial = cohortsim.trial_from_csv(f)
+    names = ()
+    if args.adjust is not None:
+        names = harness._name_list(args.adjust.split(","), "--adjust")
+    # the fit keeps only the columns it reads, and the file's table is freed
+    trial = trial.only(names)
     weights = None
     if args.weights:
         with open(args.weights, "rb") as f:
-            # the "weight" header line is optional
+            # a UTF-8 byte-order mark and the "weight" header line are optional
+            start = len(codecs.BOM_UTF8) if f.read(3) == codecs.BOM_UTF8 else 0
+            f.seek(start)
             if f.readline().strip() != b"weight":
-                f.seek(0)
+                f.seek(start)
             table = cohortsim.read_rows(f, "weights file holds no weights")
         if table.shape != (trial.n, 1):
             raise ValueError(f"weights file has {table.shape[0]} rows of {table.shape[1]} "
                              f"fields, not {trial.n} rows of one weight")
         weights = table[:, 0]
     if args.adjust is not None:
-        names = harness._name_list(args.adjust.split(","), "--adjust")
         est = estimands.conditional_effect(trial, names)
     else:
         est = estimands.marginal_effect(trial, weights)
@@ -92,8 +104,8 @@ def _cmd_replicate(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "replication.json").write_text(report.to_json())
-        (out / "replication.tsv").write_text(report.to_tsv())
+        (out / "replication.json").write_text(report.to_json(), encoding="utf-8")
+        (out / "replication.tsv").write_text(report.to_tsv(), encoding="utf-8")
     return 0 if report.all_pass else 1
 
 

@@ -272,10 +272,14 @@ def test_csv_write_memory_does_not_grow_with_n(tmp_path):
 
 
 def test_write_trial_csv_is_the_text_of_trial_to_csv():
-    trial = small_trial(n=20_000)
-    buf = io.StringIO()
-    write_trial_csv(trial, buf)
-    assert buf.getvalue() == trial_to_csv(trial)
+    # one row, one block of rows and one row past it, and many blocks
+    big = small_trial(n=20_000)
+    for n in (1, 1_024, 1_025, 20_000):
+        trial = TrialData(big.covariate_names, big.X[:n], big.trt[:n], big.time[:n],
+                          big.status[:n])
+        buf = io.StringIO()
+        write_trial_csv(trial, buf)
+        assert buf.getvalue() == trial_to_csv(trial) == loop_to_csv(trial), n
 
 
 def test_csv_read_memory_is_a_small_multiple_of_the_text():
@@ -343,6 +347,22 @@ def test_trial_data_validation():
     trial = TrialData(("a", "b"), np.ones((3, 2)), trt, time, status)
     assert trial.n == 3 and trial.column("b").shape == (3,)
     assert TrialData((), np.empty((3, 0)), trt, time, status).n == 3
+
+
+def test_only_keeps_the_named_covariates_in_arrays_of_its_own():
+    trial = small_trial(n=50)
+    kept = trial.only(["Refr", "Age"])
+    assert kept.covariate_names == ("Refr", "Age")
+    assert kept.X.tobytes() == trial.columns(["Refr", "Age"]).tobytes()
+    for name in ("trt", "time", "status"):
+        assert getattr(kept, name).tobytes() == getattr(trial, name).tobytes()
+    for name in ("X", "trt", "time", "status"):
+        assert not np.shares_memory(getattr(kept, name), getattr(trial, name)), name
+    with pytest.raises(KeyError) as info:
+        trial.only(["Age", "Nope"])
+    assert info.value.args == ("no covariate named 'Nope'",)
+    none = trial.only(())
+    assert none.covariate_names == () and none.X.shape == (50, 0) and none.n == 50
 
 
 def test_non_finite_values_rejected():

@@ -1,3 +1,4 @@
+import codecs
 import importlib
 import json
 import math
@@ -73,7 +74,7 @@ def test_package_exports_only_the_entry_points():
 def test_readme_names_resolve():
     # every `module.name` the README cites is in that module, so that a
     # rename or deletion in src/ cannot leave the README naming what is gone
-    readme = (Path(maicsim.__file__).parents[2] / "README.md").read_text()
+    readme = (Path(maicsim.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
     modules = "coxph|cohortsim|balance|estimands|harness|newton|stochastic|cli"
     names = set(re.findall(rf"`((?:{modules})(?:\.\w+)+)", readme))
     assert len(names) >= 20, sorted(names)
@@ -938,10 +939,12 @@ def test_cli_simulate_weights_fit(tmp_path: Path, capsys):
         summary_B.means.tolist()
 
     wfile = tmp_path / "weights.csv"
+    capsys.readouterr()
     assert cli.main(["weights", "--ipd", str(out / "study_A.csv"),
                      "--targets", str(out / "targets.json"),
                      "--balance-set", "PLNEN,ISS,Refr",
                      "--out", str(wfile)]) == 0
+    balance_table = capsys.readouterr().out
     # the weights file: a "weight" header, then one %.10g value per line
     names = ["PLNEN", "ISS", "Refr"]
     with open(out / "study_A.csv", "rb") as f:
@@ -955,9 +958,104 @@ def test_cli_simulate_weights_fit(tmp_path: Path, capsys):
     assert cli.main(["fit", "--data", str(out / "study_A.csv"),
                      "--weights", str(wfile)]) == 0
     read_back = np.array([float(v) for v in lines[1:]])
-    assert capsys.readouterr().out == marginal_effect(trial_A, read_back).to_json() + "\n"
+    fitted = marginal_effect(trial_A, read_back).to_json() + "\n"
+    assert capsys.readouterr().out == fitted
     assert cli.main(["fit", "--data", str(out / "study_A.csv"),
                      "--adjust", "PLNEN,ISS,Refr"]) == 0
+
+    # each file read may start with a UTF-8 byte-order mark, and means the same
+    bom = tmp_path / "bom"
+    bom.mkdir()
+    for path in (config, out / "study_A.csv", out / "targets.json", wfile):
+        (bom / path.name).write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    (bom / "no_header.csv").write_bytes(
+        codecs.BOM_UTF8 + wfile.read_bytes().removeprefix(b"weight\n"))
+    assert cli.main(["simulate", "--config", str(bom / "config.json"),
+                     "--out", str(bom / "data")]) == 0
+    assert (bom / "data" / "study_A.csv").read_bytes() == (out / "study_A.csv").read_bytes()
+    capsys.readouterr()
+    assert cli.main(["weights", "--ipd", str(bom / "study_A.csv"),
+                     "--targets", str(bom / "targets.json"),
+                     "--balance-set", "PLNEN,ISS,Refr",
+                     "--out", str(bom / "weights_out.csv")]) == 0
+    assert capsys.readouterr().out == balance_table
+    assert (bom / "weights_out.csv").read_bytes() == wfile.read_bytes()
+    for weights in ("weights.csv", "no_header.csv"):
+        assert cli.main(["fit", "--data", str(bom / "study_A.csv"),
+                         "--weights", str(bom / weights)]) == 0
+        assert capsys.readouterr().out == fitted
+
+
+def test_cli_files_are_utf8_under_an_ascii_locale(tmp_path: Path):
+    # a covariate name outside ASCII passes through the config, the CSV
+    # header and targets.json, whatever the locale; balancing on ISS keeps
+    # standard output ASCII
+    def covariates(p):
+        return [{"name": "\u00c2ge", "dist": {"kind": "normal", "mean": 65.0, "sd": 5.0}},
+                {"name": "ISS", "dist": {"kind": "bernoulli", "p": p},
+                 "prognostic_coef": -0.6651}]
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**SMALL, "balance_set": ["ISS"],
+                                  "study_A": {"covariates": covariates(0.74)},
+                                  "study_B": {"covariates": covariates(0.8)}},
+                                 ensure_ascii=False), encoding="utf-8")
+    data, weights = tmp_path / "data", tmp_path / "weights.csv"
+    commands = [["simulate", "--config", str(config), "--out", str(data)],
+                ["weights", "--ipd", str(data / "study_A.csv"), "--targets",
+                 str(data / "targets.json"), "--balance-set", "ISS", "--out", str(weights)],
+                ["fit", "--data", str(data / "study_A.csv"), "--weights", str(weights)]]
+    code = ("import codecs, locale, sys, maicsim.cli\n"
+            "assert codecs.lookup(locale.getpreferredencoding(False)).name == 'ascii'\n"
+            "sys.exit(maicsim.cli.main(sys.argv[1:]))\n")
+    env = {"PYTHONPATH": str(Path(maicsim.__file__).parent.parent),
+           "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C"}
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, (argv, proc.stderr)
+    header = (data / "study_A.csv").read_bytes().split(b"\n", 1)[0]
+    assert header == "subject_id,\u00c2ge,ISS,trt,time,status".encode()
+    assert list(json.loads((data / "targets.json").read_text())) == ["\u00c2ge", "ISS"]
+    assert json.loads(proc.stdout)["scale"] == "marginal"
+
+
+def test_cli_fit_and_weights_free_the_file_table(tmp_path: Path, monkeypatch):
+    # the loadtxt table of every column is dead once the solve or the fit
+    # starts; each keeps only the columns it reads
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL))
+    out = tmp_path / "data"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    tables, alive = [], []
+
+    def read_rows(*args):
+        table = read(*args)
+        tables.append(weakref.ref(table))
+        return table
+
+    def solver(module, name):
+        fn = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            alive.append((name, tables[0]() is not None))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+
+    read = cohortsim.read_rows
+    monkeypatch.setattr(cohortsim, "read_rows", read_rows)
+    solver(balance, "estimate_weights")
+    solver(estimands, "fit_cox")
+    data, wfile = str(out / "study_A.csv"), str(tmp_path / "weights.csv")
+    for argv, expected in (
+            (["weights", "--ipd", data, "--targets", str(out / "targets.json"),
+              "--balance-set", "ISS,Refr", "--out", wfile], ("estimate_weights", False)),
+            (["fit", "--data", data, "--weights", wfile], ("fit_cox", False)),
+            (["fit", "--data", data, "--adjust", "Refr"], ("fit_cox", False))):
+        tables.clear()
+        alive.clear()
+        assert cli.main(argv) == 0
+        assert alive == [expected], argv
 
 
 def test_cli_warnings_are_one_line(tmp_path: Path):
