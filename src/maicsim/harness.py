@@ -119,6 +119,15 @@ def _typed(value, json_type, path: str):
     return value
 
 
+def _unique(pairs) -> dict:
+    """``json.loads``'s ``object_pairs_hook``: refuses a field given twice."""
+    last = {key: i for i, (key, _) in enumerate(pairs)}
+    for i, (key, _) in enumerate(pairs):
+        if last[key] != i:
+            raise ConfigError(key, "field given twice")
+    return dict(pairs)
+
+
 def _object(d, allowed, path: str, required=()) -> dict:
     """``d`` itself, if it is a JSON object with no field outside ``allowed``
     and each field in ``required``."""
@@ -203,7 +212,7 @@ def parse_config(document: str | dict) -> ScenarioConfig:
     full default parameterization. An ``interaction`` is written into the
     covariate specs of both studies."""
     if isinstance(document, str):
-        document = json.loads(document) if document.strip() else {}
+        document = json.loads(document, object_pairs_hook=_unique) if document.strip() else {}
     d = _object(document, ("seed", "n", "study_A", "study_B", "balance_set",
                            "interaction"), "")
     study_A = _parse_study(d.get("study_A", {}), ScenarioConfig.study_A, "study_A")
@@ -397,12 +406,48 @@ class ReplicationReport:
         return "\n".join(lines) + "\n"
 
 
+# The replication's quantities in report order: (name, its value on one run,
+# its paper value or None, its inclusive [lo, hi] band). A run is passed as
+# (s1, m, t): scenario 1's result, m[k] = MAIC's (estimate, ESS) in scenario
+# k = 1-4, and t = the simulated true log HRs in S1 and S2.
+_TRUTH_BAND = (TRUE_MARGINAL_LOG_HR - 0.02, TRUE_MARGINAL_LOG_HR + 0.02)
+QUANTITIES = (
+    ("marginal_hr_AC_S1", lambda s1, m, t: s1.marginal_AC_S1.hr, 0.7575748, (0.747, 0.768)),
+    ("marginal_hr_BC_S2", lambda s1, m, t: s1.marginal_BC_S2.hr, 0.7697989, (0.760, 0.780)),
+    ("conditional_hr_AC_S1", lambda s1, m, t: s1.conditional_AC_S1.hr, 0.5294677,
+     (0.522, 0.538)),
+    ("conditional_hr_BC_S2", lambda s1, m, t: s1.conditional_BC_S2.hr, 0.5500948,
+     (0.542, 0.558)),
+    ("maic_hr_scenario1", lambda s1, m, t: m[1][0].hr, 0.7575572, (0.747, 0.768)),
+    ("maic_hr_scenario2", lambda s1, m, t: m[2][0].hr, 0.7575059, (0.747, 0.768)),
+    ("marginal_hr_ratio", lambda s1, m, t: s1.hr_ratio_marginal, 0.9840976, (0.974, 0.994)),
+    ("conditional_hr_ratio", lambda s1, m, t: s1.hr_ratio_conditional,
+     CONDITIONAL_HR_RATIO, (0.944, 0.984)),
+    ("noncollapsibility_gap",
+     lambda s1, m, t: abs(s1.hr_ratio_marginal - CONDITIONAL_HR_RATIO), None, (0.01, math.inf)),
+    ("maic_hr_scenario3", lambda s1, m, t: m[3][0].hr, 0.8765244, (0.864, 0.889)),
+    ("maic_hr_scenario4", lambda s1, m, t: m[4][0].hr, 0.8769922, (0.864, 0.889)),
+    ("scenario3_vs_scenario4_gap", lambda s1, m, t: abs(m[3][0].hr - m[4][0].hr),
+     abs(0.8765244 - 0.8769922), (0.0, 0.006)),
+    ("true_marginal_loghr_AC_S1", lambda s1, m, t: t[0], TRUE_MARGINAL_LOG_HR, _TRUTH_BAND),
+    ("true_marginal_loghr_AC_S2", lambda s1, m, t: t[1], TRUE_MARGINAL_LOG_HR, _TRUTH_BAND),
+    ("true_effect_gap", lambda s1, m, t: abs(t[0] - t[1]), 0.0, (0.0, 0.02)),
+    ("scenario1_balance_gap_max", lambda s1, m, t: float(s1.balance.abs_gaps.max()),
+     None, (0.0, 1e-6)),
+    ("scenario1_ess_fraction", lambda s1, m, t: s1.ess / s1.config.n, None, (0.0, 1.0 - 1e-12)),
+    ("ess_scenario2_minus_scenario1", lambda s1, m, t: m[2][1] - s1.ess, None, (0.0, math.inf)),
+    ("ess_scenario1_minus_scenario3", lambda s1, m, t: s1.ess - m[3][1], None, (0.0, math.inf)),
+    ("maic_vs_naive_gap_in_combined_se",
+     lambda s1, m, t: abs(m[1][0].log_hr - s1.marginal_AC_S1.log_hr)
+     / math.sqrt(m[1][0].se**2 + s1.marginal_AC_S1.se**2), None, (0.0, 3.0)),
+)
+
+
 def replicate_appendix(seed: int = DEFAULT_SEED, n: int = DEFAULT_N) -> ReplicationReport:
     """Run the four canonical scenarios plus the true-effect computation and
-    compare every headline quantity against its reference value."""
+    evaluate each entry of ``QUANTITIES`` on that run."""
     cfg = parse_config({"seed": seed, "n": n})
-    seed, n = cfg.seed, cfg.n
-    stream = RandomStream(seed)
+    stream = RandomStream(cfg.seed)
     s1, trial_A, trial_B, summary_B = _run_core(cfg, stream)
 
     # scenarios 3 and 4: same covariates, outcomes re-simulated with an
@@ -415,57 +460,19 @@ def replicate_appendix(seed: int = DEFAULT_SEED, n: int = DEFAULT_N) -> Replicat
     _stage("simulate_B_interaction", with_outcomes,
            _with_interaction(cfg.study_B, "Age", 0.005), trial_B.X, trial_B.trt, stream)
 
-    # scenarios 2-4 as (study-A trial, balance set), each weighted to
-    # scenario 1's study-B summary
-    prognostic = list(cfg.balance_set)
-    (maic2, w2, _), (maic3, w3, _), (maic4, _, _) = (
-        _stage(f"weights_scenario{k}", _maic_estimate, trial, summary_B, names)
-        for k, trial, names in ((2, trial_A, ["PLNEN"]),
-                                (3, trial_A3, prognostic + ["Age"]),
-                                (4, trial_A3, ["Age"])))
+    # scenarios 2-4 weight a study-A trial on a balance set to scenario 1's
+    # study-B summary
+    maic = {1: (s1.maic_AC_S2, s1.ess)}
+    for k, trial, names in ((2, trial_A, ["PLNEN"]), (3, trial_A3, [*cfg.balance_set, "Age"]),
+                            (4, trial_A3, ["Age"])):
+        est, w, _ = _stage(f"weights_scenario{k}", _maic_estimate, trial, summary_B, names)
+        maic[k] = (est, w.ess)
 
     # simulation-based true marginal effects of the A-vs-C model in each
     # study population
     model_A_in_S2 = replace(cfg.study_A, covariates=cfg.study_B.covariates)
-    truth = estimands.simulated_marginal_loghr
-    true_S1 = _stage("truth_S1", truth, cfg.study_A, n, stream)
-    true_S2 = _stage("truth_S2", truth, model_A_in_S2, n, stream)
-
-    maic1, marginal_AC = s1.maic_AC_S2, s1.marginal_AC_S1
-    combined_se = math.sqrt(maic1.se**2 + marginal_AC.se**2)
-    rows = (
-        ReportRow("marginal_hr_AC_S1", marginal_AC.hr, 0.7575748, (0.747, 0.768)),
-        ReportRow("marginal_hr_BC_S2", s1.marginal_BC_S2.hr, 0.7697989, (0.760, 0.780)),
-        ReportRow("conditional_hr_AC_S1", s1.conditional_AC_S1.hr, 0.5294677,
-                  (0.522, 0.538)),
-        ReportRow("conditional_hr_BC_S2", s1.conditional_BC_S2.hr, 0.5500948,
-                  (0.542, 0.558)),
-        ReportRow("maic_hr_scenario1", maic1.hr, 0.7575572, (0.747, 0.768)),
-        ReportRow("maic_hr_scenario2", maic2.hr, 0.7575059, (0.747, 0.768)),
-        ReportRow("marginal_hr_ratio", s1.hr_ratio_marginal, 0.9840976, (0.974, 0.994)),
-        ReportRow("conditional_hr_ratio", s1.hr_ratio_conditional,
-                  CONDITIONAL_HR_RATIO, (0.944, 0.984)),
-        ReportRow("noncollapsibility_gap",
-                  abs(s1.hr_ratio_marginal - CONDITIONAL_HR_RATIO), None,
-                  (0.01, math.inf)),
-        ReportRow("maic_hr_scenario3", maic3.hr, 0.8765244, (0.864, 0.889)),
-        ReportRow("maic_hr_scenario4", maic4.hr, 0.8769922, (0.864, 0.889)),
-        ReportRow("scenario3_vs_scenario4_gap", abs(maic3.hr - maic4.hr),
-                  abs(0.8765244 - 0.8769922), (0.0, 0.006)),
-        ReportRow("true_marginal_loghr_AC_S1", true_S1, TRUE_MARGINAL_LOG_HR,
-                  (TRUE_MARGINAL_LOG_HR - 0.02, TRUE_MARGINAL_LOG_HR + 0.02)),
-        ReportRow("true_marginal_loghr_AC_S2", true_S2, TRUE_MARGINAL_LOG_HR,
-                  (TRUE_MARGINAL_LOG_HR - 0.02, TRUE_MARGINAL_LOG_HR + 0.02)),
-        ReportRow("true_effect_gap", abs(true_S1 - true_S2), 0.0, (0.0, 0.02)),
-        ReportRow("scenario1_balance_gap_max", float(s1.balance.abs_gaps.max()),
-                  None, (0.0, 1e-6)),
-        ReportRow("scenario1_ess_fraction", s1.ess / n, None, (0.0, 1.0 - 1e-12)),
-        ReportRow("ess_scenario2_minus_scenario1", w2.ess - s1.ess, None,
-                  (0.0, math.inf)),
-        ReportRow("ess_scenario1_minus_scenario3", s1.ess - w3.ess, None,
-                  (0.0, math.inf)),
-        ReportRow("maic_vs_naive_gap_in_combined_se",
-                  abs(maic1.log_hr - marginal_AC.log_hr) / combined_se, None,
-                  (0.0, 3.0)),
-    )
-    return ReplicationReport(seed=seed, n=n, rows=rows)
+    truth = [_stage(f"truth_S{k}", estimands.simulated_marginal_loghr, model, cfg.n, stream)
+             for k, model in ((1, cfg.study_A), (2, model_A_in_S2))]
+    return ReplicationReport(seed=cfg.seed, n=cfg.n, rows=tuple(
+        ReportRow(name, value(s1, maic, truth), paper, tol)
+        for name, value, paper, tol in QUANTITIES))

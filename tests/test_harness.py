@@ -414,6 +414,38 @@ def test_replicate_report_determinism_and_schema():
     assert "maic_hr_scenario4" in quantities
 
 
+def test_replication_rows_are_the_quantity_table():
+    names = [name for name, *_ in harness.QUANTITIES]
+    assert len(set(names)) == len(names) == 20
+    rows = replicate_appendix(seed=5, n=2000).rows
+    assert [r.quantity for r in rows] == names
+    for row, (_, _, paper, tol) in zip(rows, harness.QUANTITIES):
+        assert (row.paper, row.tol) == (paper, tol)
+
+
+def test_replication_scenario1_is_run_scenario():
+    s1 = run_scenario(parse_config({"seed": 5, "n": 2000}))
+    ours = {r.quantity: r.ours for r in replicate_appendix(seed=5, n=2000).rows}
+    maic, naive = s1.maic_AC_S2, s1.marginal_AC_S1
+    assert ours["marginal_hr_AC_S1"] == naive.hr
+    assert ours["marginal_hr_BC_S2"] == s1.marginal_BC_S2.hr
+    assert ours["conditional_hr_AC_S1"] == s1.conditional_AC_S1.hr
+    assert ours["conditional_hr_BC_S2"] == s1.conditional_BC_S2.hr
+    assert ours["maic_hr_scenario1"] == maic.hr
+    assert ours["marginal_hr_ratio"] == s1.hr_ratio_marginal
+    assert ours["conditional_hr_ratio"] == s1.hr_ratio_conditional
+    assert ours["noncollapsibility_gap"] == abs(s1.hr_ratio_marginal
+                                                - harness.CONDITIONAL_HR_RATIO)
+    assert ours["scenario1_balance_gap_max"] == s1.balance.abs_gaps.max()
+    assert ours["scenario1_ess_fraction"] == s1.ess / 2000
+    assert ours["maic_vs_naive_gap_in_combined_se"] == (
+        abs(maic.log_hr - naive.log_hr) / math.sqrt(maic.se**2 + naive.se**2))
+    assert ours["scenario3_vs_scenario4_gap"] == abs(ours["maic_hr_scenario3"]
+                                                     - ours["maic_hr_scenario4"])
+    assert ours["true_effect_gap"] == abs(ours["true_marginal_loghr_AC_S1"]
+                                          - ours["true_marginal_loghr_AC_S2"])
+
+
 def _fail_on_call(fn, call):
     """``fn``, except that its ``call``-th call raises TargetOutsideSupport."""
     calls = []
@@ -898,6 +930,13 @@ def test_cli_input_failures_are_one_line_messages(tmp_path: Path, capsys):
     assert cli.main(["simulate", "--config", refr, "--out", str(tmp_path / "refr")]) == 0
     cases.append((["fit", "--data", str(tmp_path / "refr" / "study_A.csv"),
                    "--adjust", "ISS,Refr"], "column 2 of the design is constant"))
+    # a field given twice, in the config and in the targets file
+    balance_twice = write("balance_twice.json", '{"n": 2000, "balance_set": ["PLNEN"], '
+                          '"balance_set": ["PLNEN", "ISS", "Refr"]}')
+    cases.append((["scenario", "--config", balance_twice], "balance_set: field given twice"))
+    cases.append((["weights", "--ipd", str(tmp_path / "refr" / "study_A.csv"), "--targets",
+                   write("plnen_twice.json", '{"PLNEN": 3.0, "PLNEN": 3.4}'),
+                   "--balance-set", "PLNEN"], "PLNEN: field given twice"))
 
     def check(argv, fragment, code, stderr):
         assert code == 1, (argv, stderr)
