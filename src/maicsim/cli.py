@@ -40,8 +40,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_weights(args) -> int:
     with open(args.ipd, "rb") as f:
         trial = cohortsim.trial_from_csv(f)
-    targets = harness._typed(json.loads(Path(args.targets).read_text(encoding="utf-8-sig"),
-                                        object_pairs_hook=harness._unique), dict, "targets")
+    targets = json.loads(Path(args.targets).read_text(encoding="utf-8-sig"),
+                         object_pairs_hook=harness._unique)
+    harness._object(targets, targets, "targets")  # any name may have a target
     names = harness._name_list(args.balance_set.split(","), "--balance-set")
     missing = [nm for nm in names if nm not in targets]
     if missing:

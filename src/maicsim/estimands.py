@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohortsim import OutcomeModelSpec, TrialData, covariate_means, simulate_trial
+from .cohortsim import TrialData, covariate_means
 from .coxph import fit_cox
-from .stochastic import RandomStream
 
 MARGINAL = "marginal"
 CONDITIONAL = "conditional"
@@ -122,13 +121,6 @@ def summarize_aggregate(trial: TrialData, population: str = "") -> AggregateSumm
     of the unweighted univariable Cox fit with its model SE."""
     return AggregateSummary(trial.covariate_names, covariate_means(trial),
                             marginal_effect(trial, population=population))
-
-
-def simulated_marginal_loghr(model: OutcomeModelSpec, n: int,
-                             stream: RandomStream) -> float:
-    """Simulation-based truth for the marginal log hazard ratio: the
-    univariable Cox treatment coefficient on one large simulated cohort."""
-    return marginal_effect(simulate_trial(model, n, stream)).log_hr
 
 
 def bucher_compare(d_AC: EffectEstimate, d_BC: EffectEstimate) -> IndirectComparison:

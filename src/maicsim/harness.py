@@ -5,11 +5,10 @@ reduces study B to its published aggregates (an ``AggregateSummary``),
 estimates moment-matching weights that match study A's IPD to study B's
 means on the chosen balance set, fits the weighted univariable Cox model, and
 assembles marginal/conditional effect estimates plus the anchored comparison.
-``replicate_appendix`` runs the four canonical scenarios and the
-simulation-based true effects through the same core, and checks every
-headline quantity against its reference value within tolerance bands (an
-exact match is impossible because the reference values came from a different
-random-number stream).
+``replicate_appendix`` runs the four canonical scenarios through the same
+core, and checks every headline quantity, with the exact true marginal
+effects, against its reference value within tolerance bands (an exact match
+is impossible because the reference values came from a different stream).
 """
 
 from __future__ import annotations
@@ -119,19 +118,27 @@ def _typed(value, json_type, path: str):
     return value
 
 
+class _Repeats(dict):
+    """A JSON object that gives its field ``repeated`` more than once."""
+
+
 def _unique(pairs) -> dict:
-    """``json.loads``'s ``object_pairs_hook``: refuses a field given twice."""
-    last = {key: i for i, (key, _) in enumerate(pairs)}
-    for i, (key, _) in enumerate(pairs):
-        if last[key] != i:
-            raise ConfigError(key, "field given twice")
-    return dict(pairs)
+    """``json.loads``'s ``object_pairs_hook``: marks an object that gives a
+    field twice, for ``_object`` to refuse under the object's path."""
+    d = dict(pairs)
+    if len(d) < len(pairs):
+        keys = [key for key, _ in pairs]
+        d = _Repeats(d)
+        d.repeated = next(key for key in d if keys.count(key) > 1)
+    return d
 
 
 def _object(d, allowed, path: str, required=()) -> dict:
-    """``d`` itself, if it is a JSON object with no field outside ``allowed``
-    and each field in ``required``."""
-    for key in _typed(d, dict, path):
+    """``d`` itself, if it is a JSON object that gives no field twice, none
+    outside ``allowed`` and each in ``required``."""
+    if isinstance(_typed(d, dict, path), _Repeats):
+        raise ConfigError(f"{path}.{d.repeated}" if path else d.repeated, "field given twice")
+    for key in d:
         if key not in allowed:
             raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
     for key in required:
@@ -317,7 +324,7 @@ def _maic_estimate(trial_A: TrialData, summary_B: AggregateSummary, balance_set)
 def _run_core(cfg: ScenarioConfig, stream: RandomStream):
     """simulate -> summarize B -> fit -> weight A to B's means -> compare.
 
-    Returns the result with the two trials and study B's summary, for
+    Returns the result with study A's trial and study B's summary, for
     callers that go on to further scenarios on the same data."""
     trial_A, trial_B = simulate_studies(cfg, stream)
     summary_B = _stage("summarize_B", summarize_aggregate, trial_B, "S2")
@@ -344,7 +351,7 @@ def _run_core(cfg: ScenarioConfig, stream: RandomStream):
         bucher=estimands.bucher_compare(maic, marginal_BC),
         balance=report,
     )
-    return result, trial_A, trial_B, summary_B
+    return result, trial_A, summary_B
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
@@ -354,6 +361,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
 TRUE_MARGINAL_LOG_HR = math.log(0.76)
 CONDITIONAL_HR_RATIO = 0.53 / 0.55
+# The exact true marginal log HRs of study A's model in S1's and S2's covariate
+# law: the limits of the univariable Cox fit (Struthers & Kalbfleisch,
+# Biometrika 1986), by quadrature; tests/test_truths.py recomputes them
+TRUTH_AC_S1 = -0.28351876631201356
+TRUTH_AC_S2 = -0.28382617703167984
 
 
 @dataclass(frozen=True)
@@ -408,57 +420,53 @@ class ReplicationReport:
 
 # The replication's quantities in report order: (name, its value on one run,
 # its paper value or None, its inclusive [lo, hi] band). A run is passed as
-# (s1, m, t): scenario 1's result, m[k] = MAIC's (estimate, ESS) in scenario
-# k = 1-4, and t = the simulated true log HRs in S1 and S2.
+# (s1, m): scenario 1's result and m[k] = MAIC's (estimate, ESS) in scenario
+# k = 1-4.
 _TRUTH_BAND = (TRUE_MARGINAL_LOG_HR - 0.02, TRUE_MARGINAL_LOG_HR + 0.02)
 QUANTITIES = (
-    ("marginal_hr_AC_S1", lambda s1, m, t: s1.marginal_AC_S1.hr, 0.7575748, (0.747, 0.768)),
-    ("marginal_hr_BC_S2", lambda s1, m, t: s1.marginal_BC_S2.hr, 0.7697989, (0.760, 0.780)),
-    ("conditional_hr_AC_S1", lambda s1, m, t: s1.conditional_AC_S1.hr, 0.5294677,
+    ("marginal_hr_AC_S1", lambda s1, m: s1.marginal_AC_S1.hr, 0.7575748, (0.747, 0.768)),
+    ("marginal_hr_BC_S2", lambda s1, m: s1.marginal_BC_S2.hr, 0.7697989, (0.760, 0.780)),
+    ("conditional_hr_AC_S1", lambda s1, m: s1.conditional_AC_S1.hr, 0.5294677,
      (0.522, 0.538)),
-    ("conditional_hr_BC_S2", lambda s1, m, t: s1.conditional_BC_S2.hr, 0.5500948,
+    ("conditional_hr_BC_S2", lambda s1, m: s1.conditional_BC_S2.hr, 0.5500948,
      (0.542, 0.558)),
-    ("maic_hr_scenario1", lambda s1, m, t: m[1][0].hr, 0.7575572, (0.747, 0.768)),
-    ("maic_hr_scenario2", lambda s1, m, t: m[2][0].hr, 0.7575059, (0.747, 0.768)),
-    ("marginal_hr_ratio", lambda s1, m, t: s1.hr_ratio_marginal, 0.9840976, (0.974, 0.994)),
-    ("conditional_hr_ratio", lambda s1, m, t: s1.hr_ratio_conditional,
+    ("maic_hr_scenario1", lambda s1, m: m[1][0].hr, 0.7575572, (0.747, 0.768)),
+    ("maic_hr_scenario2", lambda s1, m: m[2][0].hr, 0.7575059, (0.747, 0.768)),
+    ("marginal_hr_ratio", lambda s1, m: s1.hr_ratio_marginal, 0.9840976, (0.974, 0.994)),
+    ("conditional_hr_ratio", lambda s1, m: s1.hr_ratio_conditional,
      CONDITIONAL_HR_RATIO, (0.944, 0.984)),
     ("noncollapsibility_gap",
-     lambda s1, m, t: abs(s1.hr_ratio_marginal - CONDITIONAL_HR_RATIO), None, (0.01, math.inf)),
-    ("maic_hr_scenario3", lambda s1, m, t: m[3][0].hr, 0.8765244, (0.864, 0.889)),
-    ("maic_hr_scenario4", lambda s1, m, t: m[4][0].hr, 0.8769922, (0.864, 0.889)),
-    ("scenario3_vs_scenario4_gap", lambda s1, m, t: abs(m[3][0].hr - m[4][0].hr),
+     lambda s1, m: abs(s1.hr_ratio_marginal - CONDITIONAL_HR_RATIO), None, (0.01, math.inf)),
+    ("maic_hr_scenario3", lambda s1, m: m[3][0].hr, 0.8765244, (0.864, 0.889)),
+    ("maic_hr_scenario4", lambda s1, m: m[4][0].hr, 0.8769922, (0.864, 0.889)),
+    ("scenario3_vs_scenario4_gap", lambda s1, m: abs(m[3][0].hr - m[4][0].hr),
      abs(0.8765244 - 0.8769922), (0.0, 0.006)),
-    ("true_marginal_loghr_AC_S1", lambda s1, m, t: t[0], TRUE_MARGINAL_LOG_HR, _TRUTH_BAND),
-    ("true_marginal_loghr_AC_S2", lambda s1, m, t: t[1], TRUE_MARGINAL_LOG_HR, _TRUTH_BAND),
-    ("true_effect_gap", lambda s1, m, t: abs(t[0] - t[1]), 0.0, (0.0, 0.02)),
-    ("scenario1_balance_gap_max", lambda s1, m, t: float(s1.balance.abs_gaps.max()),
+    ("true_marginal_loghr_AC_S1", lambda s1, m: TRUTH_AC_S1, TRUE_MARGINAL_LOG_HR, _TRUTH_BAND),
+    ("true_marginal_loghr_AC_S2", lambda s1, m: TRUTH_AC_S2, TRUE_MARGINAL_LOG_HR, _TRUTH_BAND),
+    ("true_effect_gap", lambda s1, m: abs(TRUTH_AC_S1 - TRUTH_AC_S2), 0.0, (0.0, 0.02)),
+    ("scenario1_balance_gap_max", lambda s1, m: float(s1.balance.abs_gaps.max()),
      None, (0.0, 1e-6)),
-    ("scenario1_ess_fraction", lambda s1, m, t: s1.ess / s1.config.n, None, (0.0, 1.0 - 1e-12)),
-    ("ess_scenario2_minus_scenario1", lambda s1, m, t: m[2][1] - s1.ess, None, (0.0, math.inf)),
-    ("ess_scenario1_minus_scenario3", lambda s1, m, t: s1.ess - m[3][1], None, (0.0, math.inf)),
+    ("scenario1_ess_fraction", lambda s1, m: s1.ess / s1.config.n, None, (0.0, 1.0 - 1e-12)),
+    ("ess_scenario2_minus_scenario1", lambda s1, m: m[2][1] - s1.ess, None, (0.0, math.inf)),
+    ("ess_scenario1_minus_scenario3", lambda s1, m: s1.ess - m[3][1], None, (0.0, math.inf)),
     ("maic_vs_naive_gap_in_combined_se",
-     lambda s1, m, t: abs(m[1][0].log_hr - s1.marginal_AC_S1.log_hr)
+     lambda s1, m: abs(m[1][0].log_hr - s1.marginal_AC_S1.log_hr)
      / math.sqrt(m[1][0].se**2 + s1.marginal_AC_S1.se**2), None, (0.0, 3.0)),
 )
 
 
 def replicate_appendix(seed: int = DEFAULT_SEED, n: int = DEFAULT_N) -> ReplicationReport:
-    """Run the four canonical scenarios plus the true-effect computation and
-    evaluate each entry of ``QUANTITIES`` on that run."""
+    """Run the four canonical scenarios and evaluate each entry of
+    ``QUANTITIES`` on that run."""
     cfg = parse_config({"seed": seed, "n": n})
     stream = RandomStream(cfg.seed)
-    s1, trial_A, trial_B, summary_B = _run_core(cfg, stream)
+    s1, trial_A, summary_B = _run_core(cfg, stream)
 
-    # scenarios 3 and 4: same covariates, outcomes re-simulated with an
-    # age-by-treatment interaction in both studies
+    # scenarios 3 and 4: same covariates, study A's outcomes re-simulated with
+    # an age-by-treatment interaction
     trial_A3 = _stage("simulate_A_interaction", with_outcomes,
                       _with_interaction(cfg.study_A, "Age", 0.005),
                       trial_A.X, trial_A.trt, stream)
-    # study B's outcomes under the interaction are unused; the draw keeps
-    # the order of the stream
-    _stage("simulate_B_interaction", with_outcomes,
-           _with_interaction(cfg.study_B, "Age", 0.005), trial_B.X, trial_B.trt, stream)
 
     # scenarios 2-4 weight a study-A trial on a balance set to scenario 1's
     # study-B summary
@@ -467,12 +475,6 @@ def replicate_appendix(seed: int = DEFAULT_SEED, n: int = DEFAULT_N) -> Replicat
                             (4, trial_A3, ["Age"])):
         est, w, _ = _stage(f"weights_scenario{k}", _maic_estimate, trial, summary_B, names)
         maic[k] = (est, w.ess)
-
-    # simulation-based true marginal effects of the A-vs-C model in each
-    # study population
-    model_A_in_S2 = replace(cfg.study_A, covariates=cfg.study_B.covariates)
-    truth = [_stage(f"truth_S{k}", estimands.simulated_marginal_loghr, model, cfg.n, stream)
-             for k, model in ((1, cfg.study_A), (2, model_A_in_S2))]
     return ReplicationReport(seed=cfg.seed, n=cfg.n, rows=tuple(
-        ReportRow(name, value(s1, maic, truth), paper, tol)
+        ReportRow(name, value(s1, maic), paper, tol)
         for name, value, paper, tol in QUANTITIES))

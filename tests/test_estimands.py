@@ -14,7 +14,6 @@ from maicsim.estimands import (
     conditional_effect,
     hr_ratio,
     marginal_effect,
-    simulated_marginal_loghr,
 )
 from maicsim.stochastic import Bernoulli, RandomStream
 
@@ -118,9 +117,3 @@ def test_collapsible_degenerate_case():
     cond = conditional_effect(trial, ["b"])
     combined = math.sqrt(marg.se**2 + cond.se**2)
     assert abs(marg.log_hr - cond.log_hr) < 3 * combined
-
-
-def test_true_marginal_effect_without_prognostic_covariates():
-    model = OutcomeModelSpec(-0.3, RATE, 0.0, ())
-    value = simulated_marginal_loghr(model, 10**5, RandomStream(5))
-    assert value == pytest.approx(-0.3, abs=0.03)

@@ -15,6 +15,14 @@ they were added, without re-pinning any other value: ``weights_n2000``, the
 balance table ``maicsim weights`` prints and the sha256 of the weights file it
 writes, and ``fit_n2000``, the JSON of ``maicsim fit`` plain, with
 ``--weights`` and with ``--adjust``, all on the simulated study A.
+
+Three values of ``replicate_seed5_n2000`` were re-pinned when the replication's
+true marginal effects became exact constants instead of one Cox fit on one
+simulated cohort each: ``true_marginal_loghr_AC_S1`` from -0.2604359573076802
+to -0.28351876631201356, ``true_marginal_loghr_AC_S2`` from -0.3649227042501708
+to -0.28382617703167984, and ``true_effect_gap`` from 0.1044867469424906 to
+0.000307410719666279. The truth cohorts were the stream's last draws, so no
+other value moved.
 """
 
 import contextlib

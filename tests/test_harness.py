@@ -461,14 +461,11 @@ def _fail_on_call(fn, call):
 
 @pytest.mark.parametrize("owner, name, call, stage", [
     (harness, "with_outcomes", 1, "simulate_A_interaction"),
-    (harness, "with_outcomes", 2, "simulate_B_interaction"),
     # the first weighting is scenario 1's, in run_scenario's own stage
     (balance, "weight_to_means", 1, "weights"),
     (balance, "weight_to_means", 2, "weights_scenario2"),
     (balance, "weight_to_means", 3, "weights_scenario3"),
     # weights_scenario4: test_replicate_appendix_failure_names_its_stage
-    (estimands, "simulated_marginal_loghr", 1, "truth_S1"),
-    (estimands, "simulated_marginal_loghr", 2, "truth_S2"),
 ])
 def test_replicate_appendix_names_each_stage(monkeypatch, owner, name, call, stage):
     monkeypatch.setattr(owner, name, _fail_on_call(getattr(owner, name), call))
@@ -519,9 +516,8 @@ def test_each_trial_sorted_once_and_sandwich_built_for_weighted_fits(monkeypatch
     assert counts == {"sorts": 2, "sandwiches": 1}
     counts.update(sorts=0, sandwiches=0)
     replicate_appendix(seed=5, n=2000)
-    # trials A, B, A with the interaction, and the two truth cohorts;
-    # MAIC scenarios 1-4
-    assert counts == {"sorts": 5, "sandwiches": 4}
+    # trials A, B and A with the interaction; MAIC scenarios 1-4
+    assert counts == {"sorts": 3, "sandwiches": 4}
 
     trial_A, _ = simulate_studies(parse_config(SMALL))
     w = np.random.default_rng(21).uniform(0.5, 2.0, trial_A.n)
@@ -551,7 +547,7 @@ def test_each_trial_prepared_once_and_fits_equal_fresh_ones(monkeypatch):
     assert len(built) == 2
     built.clear()
     replicate_appendix(seed=5, n=2000)
-    assert len(built) == 5
+    assert len(built) == 3
     monkeypatch.undo()
 
     trial_A, trial_B = simulate_studies(cfg)
@@ -824,6 +820,29 @@ def test_commands_that_draw_do_not_load_scipy(tmp_path: Path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_paper_numbers_need_no_scipy():
+    # scipy is the tests' oracle only: with its import blocked, the default
+    # scenario and a replication still run and print their reports
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import maicsim.cli\n"
+            "sys.exit(maicsim.cli.main(sys.argv[1:]))\n")
+    src = str(Path(maicsim.__file__).parent.parent)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env={"PYTHONPATH": src}, timeout=120)
+
+    proc = run("scenario")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["maic_AC_S2"]["scale"] == "marginal"
+    proc = run("replicate-appendix", "--n", "2000")
+    assert proc.stderr == ""
+    rows = [line.split("\t") for line in proc.stdout.splitlines()[1:]]
+    assert [row[0] for row in rows] == [name for name, *_ in harness.QUANTITIES]
+    assert proc.returncode == (0 if all(row[-1] == "pass" for row in rows) else 1)
+
+
 def test_cli_input_failures_are_one_line_messages(tmp_path: Path, capsys):
     config = tmp_path / "config.json"
     config.write_text('{"n": 3}')
@@ -930,13 +949,23 @@ def test_cli_input_failures_are_one_line_messages(tmp_path: Path, capsys):
     assert cli.main(["simulate", "--config", refr, "--out", str(tmp_path / "refr")]) == 0
     cases.append((["fit", "--data", str(tmp_path / "refr" / "study_A.csv"),
                    "--adjust", "ISS,Refr"], "column 2 of the design is constant"))
-    # a field given twice, in the config and in the targets file
+    # a field given twice, in the config and in the targets file, named by
+    # its full path
     balance_twice = write("balance_twice.json", '{"n": 2000, "balance_set": ["PLNEN"], '
                           '"balance_set": ["PLNEN", "ISS", "Refr"]}')
-    cases.append((["scenario", "--config", balance_twice], "balance_set: field given twice"))
+    cases.append((["scenario", "--config", balance_twice],
+                  "scenario: balance_set: field given twice"))
+    rate_twice = write("rate_twice.json", '{"study_A": {"baseline_rate": 0.001, '
+                       '"baseline_rate": 0.002}}')
+    cases.append((["scenario", "--config", rate_twice],
+                  "study_A.baseline_rate: field given twice"))
+    sd_twice = write("sd_twice.json", '{"study_A": {"covariates": [{"name": "Age", "dist": '
+                     '{"kind": "normal", "mean": 60, "sd": 5, "sd": 6}}]}}')
+    cases.append((["simulate", "--config", sd_twice, "--out", str(tmp_path / "sd")],
+                  "study_A.covariates[0].dist.sd: field given twice"))
     cases.append((["weights", "--ipd", str(tmp_path / "refr" / "study_A.csv"), "--targets",
                    write("plnen_twice.json", '{"PLNEN": 3.0, "PLNEN": 3.4}'),
-                   "--balance-set", "PLNEN"], "PLNEN: field given twice"))
+                   "--balance-set", "PLNEN"], "targets.PLNEN: field given twice"))
 
     def check(argv, fragment, code, stderr):
         assert code == 1, (argv, stderr)
