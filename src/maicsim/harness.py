@@ -304,7 +304,9 @@ def simulate_studies(cfg: ScenarioConfig, stream: RandomStream | None = None
                      ) -> Iterator[TrialData]:
     """Yields study A's and then study B's IPD under ``cfg``, drawn from ``stream``
     (by default a fresh stream seeded with ``cfg.seed``). Study B is drawn only
-    when it is asked for, so that a caller can free study A first."""
+    when it is asked for, so that a caller can free one study before it works on
+    the other: the CLI's ``simulate`` frees study A, and the pipeline frees
+    study B."""
     if stream is None:
         stream = RandomStream(cfg.seed)
     yield _stage("simulate_A", simulate_trial, cfg.study_A, cfg.n, stream)
@@ -321,21 +323,31 @@ def _maic_estimate(trial_A: TrialData, summary_B: AggregateSummary, balance_set)
     return est, weights, report
 
 
+def _reduce_B(trial_B: TrialData, cfg: ScenarioConfig
+              ) -> tuple[AggregateSummary, EffectEstimate]:
+    """Study B's published aggregates, and its conditional effect, which only
+    the simulation knows; study B's IPD is dropped when this returns."""
+    summary_B = _stage("summarize_B", summarize_aggregate, trial_B, "S2")
+    conditional_BC = _stage("fit_conditional_B", estimands.conditional_effect,
+                            trial_B, _prognostic_set(cfg.study_B), population="S2")
+    return summary_B, conditional_BC
+
+
 def _run_core(cfg: ScenarioConfig, stream: RandomStream):
-    """simulate -> summarize B -> fit -> weight A to B's means -> compare.
+    """simulate A and B -> reduce B to its aggregates -> fit A -> weight A to
+    B's means -> compare. Study A's stages see study B only as its
+    ``AggregateSummary`` and its conditional effect.
 
     Returns the result with study A's trial and study B's summary, for
     callers that go on to further scenarios on the same data."""
-    trial_A, trial_B = simulate_studies(cfg, stream)
-    summary_B = _stage("summarize_B", summarize_aggregate, trial_B, "S2")
+    studies = simulate_studies(cfg, stream)
+    trial_A = next(studies)
+    summary_B, conditional_BC = _reduce_B(next(studies), cfg)
     marginal_AC = _stage("fit_marginal_A", estimands.marginal_effect,
                          trial_A, population="S1")
     marginal_BC = summary_B.effect
     conditional_AC = _stage("fit_conditional_A", estimands.conditional_effect,
                             trial_A, _prognostic_set(cfg.study_A), population="S1")
-    # study B's IPD serves only this simulation-side quantity, never MAIC
-    conditional_BC = _stage("fit_conditional_B", estimands.conditional_effect,
-                            trial_B, _prognostic_set(cfg.study_B), population="S2")
     maic, weights, report = _stage("weights", _maic_estimate,
                                    trial_A, summary_B, cfg.balance_set)
     result = ScenarioResult(

@@ -1,4 +1,5 @@
 import codecs
+import gc
 import importlib
 import json
 import math
@@ -597,6 +598,32 @@ def test_scenario_keeps_no_cox_scratch_once_it_returns():
     assert result.config.n == n and held < 8 * n
 
 
+def test_scenario_reduces_and_frees_study_B_before_study_A_stages(monkeypatch):
+    # study A's stages see study B only as its aggregates and its
+    # conditional effect: B's IPD is gone before the first of them starts
+    stages, trials, B_alive = [], [], []
+    stage, simulate_trial = harness._stage, harness.simulate_trial
+
+    def recording_stage(name, fn, *args, **kwargs):
+        if name == "fit_marginal_A":
+            gc.collect()
+            B_alive.append(trials[1]() is not None)
+        stages.append(name)
+        return stage(name, fn, *args, **kwargs)
+
+    def recording_simulate_trial(*args):
+        trial = simulate_trial(*args)
+        trials.append(weakref.ref(trial))
+        return trial
+
+    monkeypatch.setattr(harness, "_stage", recording_stage)
+    monkeypatch.setattr(harness, "simulate_trial", recording_simulate_trial)
+    run_scenario(parse_config(SMALL))
+    assert stages == ["simulate_A", "simulate_B", "summarize_B", "fit_conditional_B",
+                      "fit_marginal_A", "fit_conditional_A", "weights"]
+    assert B_alive == [False]
+
+
 def test_stage_annotation_on_failure():
     doc = dict(SMALL)
     doc["balance_set"] = ["Age"]
@@ -618,6 +645,8 @@ def test_stage_annotation_on_failure():
     (100, 113, "fit_conditional_A", coxph.NotConverged),
     # a negative model variance at the last iterate
     (50, 1394, "fit_conditional_B", coxph.SingularInformation),
+    # both conditional fits fail; study B's, reduced first, is the one named
+    (50, 91, "fit_conditional_B", coxph.SingularInformation),
 ])
 def test_small_sample_fit_failures_are_cox_errors(n, seed, stage, cause):
     with warnings.catch_warnings():
