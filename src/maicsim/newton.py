@@ -11,7 +11,6 @@ import numpy as np
 REL_TOL = 1e-9
 PIVOT_TOL = np.finfo(float).eps ** 0.75  # R's coxph.control(toler.chol)
 MAX_ITERS = 50
-MAX_HALVINGS = 10
 
 
 def minimize(evaluate, k: int):
@@ -21,10 +20,12 @@ def minimize(evaluate, k: int):
     x = 0, and runs with numpy's floating-point warnings off. The solver
     alone decides infeasibility: a step is accepted only if its value is
     finite and exceeds the current one by at most the tolerance, so NaN, +inf
-    and -inf, however they arose, fail. A failed step is halved up to
-    ``MAX_HALVINGS`` times; if none is accepted, or after ``MAX_ITERS``
-    steps, the search stops unconverged. Divergence is the caller's to judge
-    from what is returned: the solver has no bound on x.
+    and -inf, however they arose, fail. A failed step is halved until one is
+    accepted; the search stops unconverged once a halved step no longer moves
+    x, or a step is not finite, or after ``MAX_ITERS`` steps. As in R's
+    coxph, only a step that was not halved can end the search as converged.
+    Divergence is the caller's to judge from what is returned: the solver
+    has no bound on x.
     Returns (x, value, gradient, Hessian, converged, iterations) at the last
     accepted iterate. It raises ``np.linalg.LinAlgError`` if the Hessian at 0
     has no Cholesky factor or a squared pivot at most ``PIVOT_TOL`` of its
@@ -45,15 +46,16 @@ def minimize(evaluate, k: int):
                 return x, f, g, h, True, iterations
             step = np.linalg.solve(h, g)
             tol = REL_TOL * abs(f)
-            for _ in range(MAX_HALVINGS + 1):
+            halved = False
+            while True:
                 cand = x - step
+                if not np.all(np.isfinite(cand)) or (halved and np.all(cand == x)):
+                    return x, f, g, h, False, iterations
                 fc, gc, hc = evaluate(cand)
                 if -np.inf < fc <= f + tol:  # false for NaN and +-inf
                     break
-                step = step / 2
-            else:
-                return x, f, g, h, False, iterations
-            converged = f - fc <= tol
+                step, halved = step / 2, True
+            converged = not halved and f - fc <= tol
             x, f, g, h = cand, fc, gc, hc
             if converged:
                 return x, f, g, h, True, iterations + 1

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 import maicsim
 from maicsim import balance, cli, cohortsim, coxph, estimands, harness, newton, stochastic
@@ -639,11 +640,10 @@ def test_stage_annotation_on_failure():
 
 
 @pytest.mark.parametrize("n, seed, stage, cause", [
-    # Newton steps that overflow exp or leave a risk set's sum 0, refused
-    # until no halving is left
-    (100, 93, "fit_conditional_B", coxph.NotConverged),
-    (100, 113, "fit_conditional_A", coxph.NotConverged),
-    # a negative model variance at the last iterate
+    # study B's one Refr = 0 subject has an event, so beta_Refr runs off
+    # toward -inf; at the last accepted step (about -500) the information is
+    # not finite, so the next step is NaN, the search stops there, and the
+    # model variance is NaN
     (50, 1394, "fit_conditional_B", coxph.SingularInformation),
     # both conditional fits fail; study B's, reduced first, is the one named
     (50, 91, "fit_conditional_B", coxph.SingularInformation),
@@ -655,6 +655,41 @@ def test_small_sample_fit_failures_are_cox_errors(n, seed, stage, cause):
             run_scenario(parse_config({"n": n, "seed": seed}))
     assert info.value.stage == stage
     assert type(info.value.__cause__) is cause
+
+
+AGE_BALANCED = {"interaction": {"covariate": "Age", "coefficient": 0.005},
+                "balance_set": ["PLNEN", "ISS", "Refr", "Age"]}
+
+
+@pytest.mark.parametrize("doc", [
+    # a Newton step 5e4 (seed 113) to 4e7 (seed 93) long overflows exp, and
+    # must be halved more than ten times before it is accepted
+    {"n": 100, "seed": 93},
+    {"n": 100, "seed": 113},
+    # study B's fit takes a halved step at -loglik 339.72, far from its
+    # maximum 291.08: a halved step must not end the search as converged
+    {**AGE_BALANCED, "n": 100, "seed": 93},
+], ids=["100-93", "100-113", "age_balanced-100-93"])
+def test_small_sample_finite_maxima_are_fitted(doc):
+    cfg = parse_config(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_scenario(cfg)
+    for trial, spec, effect in zip(simulate_studies(cfg), (cfg.study_A, cfg.study_B),
+                                   (result.conditional_AC_S1, result.conditional_BC_S2)):
+        columns = (trial.trt, *map(trial.column, harness._prognostic_set(spec)))
+        fit = coxph.fit_cox(trial.time_order, columns)
+        assert fit.beta[0] == effect.log_hr
+
+        def objective(beta):
+            with np.errstate(all="ignore"):  # BFGS's line search overflows exp too
+                loglik = coxph.partial_loglik(beta, trial.time_order, columns)
+                score = coxph.score_and_information(beta, trial.time_order, columns)[0]
+            return -loglik, -score
+
+        oracle = optimize.minimize(objective, np.zeros(len(columns)), jac=True,
+                                   method="BFGS", options={"gtol": 1e-10})
+        np.testing.assert_allclose(fit.beta, oracle.x, rtol=0, atol=1e-6)
 
 
 def test_no_small_sample_scenario_fails_on_a_warning():
@@ -670,6 +705,8 @@ def test_no_small_sample_scenario_fails_on_a_warning():
                 failed += 1
                 assert isinstance(exc.__cause__, (coxph.CoxError, TargetOutsideSupport,
                                                   WeightsNotConverged)), (seed, exc)
+                # a finite maximum is reached: halving has no budget
+                assert not isinstance(exc.__cause__, coxph.NotConverged), (seed, exc)
     assert 0 < failed < 50
 
 

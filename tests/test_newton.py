@@ -59,7 +59,8 @@ NOT_FINITE = {"nan": lambda: np.log(np.float64(-1.0)),
 @pytest.mark.parametrize("kind", sorted(NOT_FINITE))
 def test_value_that_is_not_finite_is_a_failed_step(kind):
     # a quadratic bowl, whose value is not finite off the start: every step
-    # and each of its halvings fails, -inf as much as NaN and +inf
+    # and each of its halvings fails, -inf as much as NaN and +inf, until the
+    # halved step no longer moves the iterate
     h = np.array([[2.0, 0.5], [0.5, 1.0]])
     bowl = quadratic(h)
     calls = []
@@ -74,10 +75,34 @@ def test_value_that_is_not_finite_is_a_failed_step(kind):
         x, f, g, hess, converged, iterations = newton.minimize(evaluate, 2)
     assert not converged and iterations == 0
     assert not np.any(x) and f == bowl(x)[0]
-    assert len(calls) == newton.MAX_HALVINGS + 2
-    # the trial steps halve from the full Newton step
+    # the trial steps halve from the full Newton step, down to the last one
+    # that still moves x = 0: 1,076 of them, to the smallest subnormal
     steps = np.array(calls[1:])
     np.testing.assert_array_equal(steps[1:], steps[:-1] / 2)
+    assert np.all(np.any(steps != 0, axis=1)) and not np.any(steps[-1] / 2)
+    assert len(calls) == 1077
+
+
+def test_step_that_is_not_finite_ends_the_search():
+    # the accepted first step returns a NaN Hessian, so the next Newton step
+    # is NaN, and no halving makes it finite: the search stops unconverged at
+    # that iterate without evaluating the step. The Hessian at the start is
+    # doubled, so the first step goes halfway and leaves a gradient to follow
+    h = np.array([[2.0, 0.5], [0.5, 1.0]])
+    bowl = quadratic(h)
+    calls = []
+
+    def evaluate(x):
+        calls.append(x)
+        if len(calls) > 100:
+            raise RuntimeError("the search does not stop")
+        f, g, hess = bowl(x)
+        return f, g, (2 * hess if not np.any(x) else np.full_like(hess, np.nan))
+
+    x, f, g, hess, converged, iterations = newton.minimize(evaluate, 2)
+    assert not converged and iterations == 1
+    assert len(calls) == 2 and np.array_equal(x, calls[1])
+    assert np.all(np.isnan(hess))
 
 
 def cox_designs(rng, n):
