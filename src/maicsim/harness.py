@@ -20,7 +20,7 @@ import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 
-from . import balance, estimands, stochastic
+from . import balance, estimands
 from .cohortsim import (CovariateSpec, OutcomeModelSpec, TrialData, check_hazard_range,
                         simulate_trial, with_outcomes)
 from .estimands import AggregateSummary, EffectEstimate, IndirectComparison, summarize_aggregate
@@ -166,8 +166,7 @@ def _spec(make, path: str, **params):
 
 
 # kind -> spec class; its dataclass fields are the kind's parameters
-_DISTS = {"uniform01": stochastic.Uniform01, "normal": Normal, "poisson": Poisson,
-          "bernoulli": Bernoulli, "exponential": stochastic.Exponential}
+_DISTS = {"normal": Normal, "poisson": Poisson, "bernoulli": Bernoulli}
 
 
 def _parse_dist(d, path: str) -> DistributionSpec:
@@ -224,7 +223,7 @@ def parse_config(document: str | dict) -> ScenarioConfig:
                            "interaction"), "")
     study_A = _parse_study(d.get("study_A", {}), ScenarioConfig.study_A, "study_A")
     study_B = _parse_study(d.get("study_B", {}), ScenarioConfig.study_B, "study_B")
-    if d.get("interaction") is not None:
+    if "interaction" in d:
         keys = ("covariate", "coefficient")
         idict = _object(d["interaction"], keys, "interaction", keys)
         name = _typed(idict["covariate"], str, "interaction.covariate")

@@ -46,11 +46,6 @@ class RandomStream:
 
 
 @dataclass(frozen=True)
-class Uniform01:
-    pass
-
-
-@dataclass(frozen=True)
 class Normal:
     mean: float
     sd: float
@@ -81,24 +76,13 @@ class Bernoulli:
             raise ValueError(f"Bernoulli p must lie in [0, 1], got {self.p}")
 
 
-@dataclass(frozen=True)
-class Exponential:
-    rate: float
-
-    def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"Exponential rate must be positive, got {self.rate}")
-
-
-DistributionSpec = Union[Uniform01, Normal, Poisson, Bernoulli, Exponential]
+DistributionSpec = Union[Normal, Poisson, Bernoulli]
 
 
 def drawn_range(dist: DistributionSpec) -> tuple[float, float] | None:
     """The least and the greatest value ``draw_variates`` can return for
-    ``dist`` where the draws are bounded (Uniform01, Bernoulli), else None."""
+    ``dist`` where the draws are bounded (Bernoulli), else None."""
     lo, hi = UNIFORM_RANGE
-    if isinstance(dist, Uniform01):
-        return lo, hi
     if isinstance(dist, Bernoulli):
         # a draw is 1 where its uniform is below p
         return (0.0 if hi >= dist.p else 1.0), (1.0 if lo < dist.p else 0.0)
@@ -206,14 +190,10 @@ def _draw_poisson(stream: RandomStream, lam: float, n: int) -> np.ndarray:
 
 def draw_variates(stream: RandomStream, dist: DistributionSpec, n: int) -> np.ndarray:
     """n i.i.d. variates from ``dist``, advancing the stream."""
-    if isinstance(dist, Uniform01):
-        return stream.uniforms(n)
     if isinstance(dist, Normal):
         return dist.mean + dist.sd * ndtri(stream.uniforms(n))
     if isinstance(dist, Poisson):
         return _draw_poisson(stream, dist.lam, n)
     if isinstance(dist, Bernoulli):
         return (stream.uniforms(n) < dist.p).astype(float)
-    if isinstance(dist, Exponential):
-        return exponential_inverse(stream.uniforms(n), dist.rate)
     raise TypeError(f"unknown distribution spec: {dist!r}")

@@ -9,9 +9,11 @@ import sys
 import time
 import tracemalloc
 import types
+import typing
 import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +137,10 @@ def test_missing_dist_field():
         parse_config(doc)
 
 
+# a valid covariate law, for the config-shape tests
+BERNOULLI = {"kind": "bernoulli", "p": 0.5}
+
+
 def test_invalid_parameter_reported_with_path():
     doc = {"study_A": {"baseline_rate": -1.0}}
     with pytest.raises(ConfigError, match="study_A"):
@@ -156,7 +162,7 @@ def test_invalid_parameter_reported_with_path():
     for doc, path in (
             ({"study_A": {"covariates": [{"name": "x", "dist": normal}]}},
              "study_A.covariates[0].dist.mean"),
-            ({"study_A": {"covariates": [{"name": "x", "dist": {"kind": "uniform01"},
+            ({"study_A": {"covariates": [{"name": "x", "dist": BERNOULLI,
                                           "prognostic_coef": "x"}]}},
              "study_A.covariates[0].prognostic_coef"),
             ({"study_A": {"treatment_log_hr": None}}, "study_A.treatment_log_hr"),
@@ -180,11 +186,12 @@ def test_invalid_parameter_reported_with_path():
              "study_A.covariates[0].dist"),
             ({"study_A": {"covariates": [{"name": "x", "dist": {"kind": []}}]}},
              "study_A.covariates[0].dist.kind"),
-            ({"study_A": {"covariates": [{"name": 7, "dist": {"kind": "uniform01"}}]}},
+            ({"study_A": {"covariates": [{"name": 7, "dist": BERNOULLI}]}},
              "study_A.covariates[0].name"),
             ({"balance_set": "PLNEN"}, "balance_set"),
             ({"balance_set": [1]}, "balance_set"),
-            ({"interaction": [1]}, "interaction")):
+            ({"interaction": [1]}, "interaction"),
+            ({"interaction": None}, "interaction")):
         with pytest.raises(ConfigError) as info:
             parse_config(doc)
         assert info.value.path == path, (doc, info.value)
@@ -194,8 +201,8 @@ def test_invalid_parameter_reported_with_path():
     # names become CSV header fields and --balance-set entries
     for name in ("", "a,b", 'a"b', "a\nb", "a\rb"):
         doc = {"study_A": {"covariates": [
-            {"name": "Age", "dist": {"kind": "uniform01"}},
-            {"name": name, "dist": {"kind": "uniform01"}}]}}
+            {"name": "Age", "dist": BERNOULLI},
+            {"name": name, "dist": BERNOULLI}]}}
         with pytest.raises(ConfigError) as info:
             parse_config(doc)
         assert info.value.path == "study_A.covariates[1].name"
@@ -316,22 +323,19 @@ def _covariates(*entries):
     return {"study_A": {"covariates": list(entries)}}
 
 
-UNIFORM = {"kind": "uniform01"}
-
-
 @pytest.mark.parametrize("doc, path, text", [
     ({"interaction": {"covariate": "Age"}}, "interaction.coefficient",
      "missing required field"),
     ({"interaction": {"coefficient": 0.1}}, "interaction.covariate",
      "missing required field"),
-    (_covariates({"dist": UNIFORM}), "study_A.covariates[0].name",
+    (_covariates({"dist": BERNOULLI}), "study_A.covariates[0].name",
      "missing required field"),
     (_covariates({"name": "x"}), "study_A.covariates[0].dist", "missing required field"),
     (_covariates({"name": "x", "dist": {"mean": 1.0}}), "study_A.covariates[0].dist.kind",
      "missing required field"),
     (_covariates({"name": "x", "dist": {"kind": "poisson"}}),
      "study_A.covariates[0].dist.lam", "missing required field"),
-    (_covariates({"name": "x", "dist": UNIFORM, "coef": 1.0}),
+    (_covariates({"name": "x", "dist": BERNOULLI, "coef": 1.0}),
      "study_A.covariates[0].coef", "unknown field"),
     (_covariates({"name": "x", "dist": {"kind": "normal", "mean": 0.0, "sd": 1.0,
                                         "lam": 1.0}}),
@@ -340,6 +344,11 @@ UNIFORM = {"kind": "uniform01"}
      "interaction.study", "unknown field"),
     ({"study_A": {"censoring_rate": -1.0}}, "study_A",
      "censoring_rate must be non-negative"),
+    # only the paper's three laws are kinds
+    (_covariates({"name": "x", "dist": {"kind": "uniform01"}}),
+     "study_A.covariates[0].dist.kind", "unknown distribution kind 'uniform01'"),
+    (_covariates({"name": "x", "dist": {"kind": "exponential", "rate": 1.0}}),
+     "study_A.covariates[0].dist.kind", "unknown distribution kind 'exponential'"),
 ])
 def test_parser_errors_name_their_path(doc, path, text):
     with pytest.raises(ConfigError) as info:
@@ -403,6 +412,19 @@ def test_parse_config_returns_a_config_or_raises_config_error(doc):
     except ConfigError:
         return
     assert isinstance(cfg, ScenarioConfig)
+
+
+def test_config_kinds_are_the_sampler_laws():
+    # a law added to the config or to the sampler alone fails here
+    laws = typing.get_args(stochastic.DistributionSpec)
+    assert set(harness._DISTS.values()) == set(laws)
+    for law in laws:
+        # 0.5 is a valid value of every parameter of every law
+        dist = law(**{f.name: 0.5 for f in fields(law)})
+        x = stochastic.draw_variates(stochastic.RandomStream(3), dist, 1000)
+        assert x.shape == (1000,) and np.all(np.isfinite(x))
+        bounds = stochastic.drawn_range(dist)
+        assert bounds is None or bounds[0] <= x.min() <= x.max() <= bounds[1]
 
 
 def test_replicate_report_determinism_and_schema():
@@ -759,7 +781,8 @@ def test_hazard_out_of_range_fails_in_simulation(coef, censoring_rate):
 @pytest.mark.parametrize("dist, coef, refused", [
     ({"kind": "bernoulli", "p": 0.74}, 800.0, True),
     ({"kind": "bernoulli", "p": 0.74}, -800.0, True),
-    ({"kind": "uniform01"}, 800.0, True),
+    # p = 1 draws only 1, so its coefficient always reaches the hazard
+    ({"kind": "bernoulli", "p": 1.0}, 800.0, True),
     # p = 0 draws only 0, so its coefficient never reaches the hazard
     ({"kind": "bernoulli", "p": 0.0}, 800.0, False),
 
