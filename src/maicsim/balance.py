@@ -71,16 +71,16 @@ def estimate_weights(Xc: np.ndarray) -> MaicWeights:
     # outside the hull the weighted means stay at the target's distance from
     # it, converged or not; each column is measured against its own spread
     with np.errstate(invalid="ignore", divide="ignore"):
-        rel_gap = np.max(np.abs(grad) / np.max(np.abs(Xc), axis=0)) / q
+        rel_gap = (np.abs(grad) / np.abs(Xc).max(axis=0)).max() / q
     if not rel_gap <= 1e-6:
         raise TargetOutsideSupport(
             f"weighted means miss the target means by up to {rel_gap:.3g}; "
             "target means lie outside the convex hull of the IPD covariates")
     w = np.exp(Xc @ alpha)
-    if not np.all(w > 0):  # a target on the hull's boundary is met by weights of 0
+    if not (w > 0).all():  # a target on the hull's boundary is met by weights of 0
         raise TargetOutsideSupport("some weights are 0: target means lie on the "
                                    "boundary of the convex hull of the IPD covariates")
-    grad_norm = float(np.max(np.abs(grad)))
+    grad_norm = float(np.abs(grad).max())
     if not converged:
         raise WeightsNotConverged(
             f"weight estimate stopped unconverged after {iterations} "
@@ -96,11 +96,11 @@ def estimate_weights(Xc: np.ndarray) -> MaicWeights:
 
 def effective_sample_size(w: np.ndarray) -> float:
     w = np.asarray(w, dtype=float)
-    if not (w.size and np.all((w > 0) & (w < np.inf))):
+    if not (w.size and ((w > 0) & (w < np.inf)).all()):
         raise ValueError("need at least one weight, all finite and positive")
     # weights c w give the same ESS; w over a power of two near the largest
     # weight is exact and keeps sum(w)^2 and sum(w^2) finite and non-zero
-    w = np.ldexp(w, -np.frexp(np.max(w))[1])
+    w = np.ldexp(w, -np.frexp(w.max())[1])
     return float(w.sum() ** 2 / (w**2).sum())
 
 

@@ -73,10 +73,10 @@ class TrialData:
         n = self.X.shape[0]
         if any(a.shape != (n,) for a in (self.trt, self.time, self.status)):
             raise ValueError(f"trt, time and status must be 1-D with the {n} rows of X")
-        if not np.all(np.isfinite(self.X)):
+        if not np.isfinite(self.X).all():
             raise ValueError("all covariate values X must be finite")
         check_outcomes(self.time, self.status)
-        if not np.all((self.trt == 0) | (self.trt == 1)):
+        if not ((self.trt == 0) | (self.trt == 1)).all():
             raise ValueError("trt must be 0/1")
 
     @property

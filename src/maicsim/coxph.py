@@ -49,9 +49,9 @@ class NotConverged(CoxError):
 def check_outcomes(time: np.ndarray, status: np.ndarray) -> None:
     """ValueError unless every time is finite and positive, every status 0/1."""
     # comparisons with NaN are false, so each test is for the good values
-    if not np.all((time > 0) & (time < np.inf)):
+    if not ((time > 0) & (time < np.inf)).all():
         raise ValueError("all times must be finite and positive")
-    if not np.all((status == 0) | (status == 1)):
+    if not ((status == 0) | (status == 1)).all():
         raise ValueError("status must be 0/1")
 
 
@@ -63,7 +63,7 @@ def _sort(time: np.ndarray):
     order = np.argsort(time)
     t = time[order]
     new = t[1:] != t[:-1]
-    if not np.all(new):
+    if not new.all():
         order = np.argsort(time, kind="stable")
     return order[::-1], new[::-1]
 
@@ -81,7 +81,7 @@ class TimeOrder:
         if time.ndim != 1 or status.shape != time.shape:
             raise ValueError("time and status must be 1-D of matching length")
         check_outcomes(time, status)
-        if not np.any(status == 1):
+        if not (status == 1).any():
             raise NoEvents("sample contains no events")
         self.order, new = _sort(time)
         self.d = status[self.order]
@@ -92,7 +92,7 @@ class TimeOrder:
         # tied positions with those, for each sum in the buffer it is cumulated in
         # (the events' from the end), and is None for untied times
         self.ties = None
-        if not np.all(new):
+        if not new.all():
             starts, ends = np.concatenate(([True], new)), np.concatenate((new, [True]))
             tied = np.flatnonzero(~(starts & ends))
             group = np.cumsum(starts[tied]) - 1
@@ -134,21 +134,21 @@ class _SortedSample:
     it evaluates with: the design's p >= 1 columns gathered into p x n rows,
     so that the risk-set sums S0 and S1 are forward cumulative sums over
     contiguous memory; the weights in that order, or the scalar 1.0
-    unweighted, whose event weights are the statuses; and one scratch array
-    of 5 n + 2 p n doubles, reused by every evaluation of the fit and freed
-    with it."""
+    unweighted, whose event weights are the statuses; and the five n-vectors
+    and two p x n arrays of one scratch array, reused by every evaluation of
+    the fit and freed with it."""
 
     def __init__(self, times: TimeOrder, columns, w=None):
         n = times.order.size
         columns = [np.asarray(z, dtype=float) for z in columns]
         if not columns or any(z.shape != (n,) for z in columns):
             raise ValueError(f"need p >= 1 covariate columns of n = {n} values each")
-        if not all(np.all(np.isfinite(z)) for z in columns):
+        if not all(np.isfinite(z).all() for z in columns):
             raise ValueError("all covariate values Z must be finite")
         self.w, self.w_event = 1.0, times.d
         if w is not None:
             w = np.asarray(w, dtype=float)
-            if not (w.shape == (n,) and np.all((w > 0) & (w < np.inf))):
+            if not (w.shape == (n,) and ((w > 0) & (w < np.inf)).all()):
                 raise ValueError("all weights must be finite and positive, one for "
                                  f"each of the n = {n} subjects")
             self.w = w[times.order]
@@ -160,16 +160,15 @@ class _SortedSample:
         self.z = np.empty((len(columns), n))
         for column, row in zip(columns, self.z):
             column.take(times.order, out=row, mode="clip")
-        self.scratch = np.empty((5 + 2 * len(columns)) * n)
+        buf = np.empty((5 + 2 * len(columns)) * n)
+        self.scratch = (*buf[:5 * n].reshape(5, n), *buf[5 * n:].reshape(2, -1, n))
 
     def risk_sums(self, beta: np.ndarray):
         """eta, exp(eta), the risk scores r = w exp(eta), S0 and S1 over each
         risk set, a = w / S0 at events (0 elsewhere) and a free p x n array,
         all views into the fit's scratch and overwritten by the next call."""
         times = self.time_order
-        n = self.z.shape[1]
-        eta, expeta, r, v0, v1 = self.scratch[:5 * n].reshape(5, n)
-        m0, m1 = self.scratch[5 * n:].reshape(2, *self.z.shape)
+        eta, expeta, r, v0, v1, m0, m1 = self.scratch
         np.matmul(beta, self.z, out=eta)
         np.exp(eta, out=expeta)
         np.multiply(self.w, expeta, out=r)
@@ -233,7 +232,7 @@ def fit_cox(times: TimeOrder, columns, w=None) -> CoxFit:
     builds its Lin-Wei sandwich; unit weights fit bit for bit as none."""
     s = _SortedSample(times, columns, w)
     spread = np.ptp(s.z, axis=1)
-    if not np.all(spread):
+    if not spread.all():
         raise SingularInformation(f"column {np.argmin(spread)} of the design is "
                                   "constant (column 0 is treatment)")
 
@@ -247,25 +246,25 @@ def fit_cox(times: TimeOrder, columns, w=None) -> CoxFit:
         cov_model = np.linalg.inv(info)
     except np.linalg.LinAlgError as exc:
         raise SingularInformation(str(exc)) from exc
-    var_model = np.diag(cov_model)
-    if not np.all(var_model > 0):  # false for NaN
+    var_model = cov_model.diagonal()
+    if not (var_model > 0).all():  # false for NaN
         j = np.argmin(var_model > 0)
         raise SingularInformation(f"model variance {var_model[j]:.3g} of column {j} "
                                   "is not positive")
-    score_norm = float(np.max(np.abs(neg_score)))
+    score_norm = float(np.abs(neg_score).max())
     if not converged:
         raise NotConverged(f"Cox fit stopped unconverged after {iterations} "
                            f"Newton steps (max |score| {score_norm:.3g})")
-    remaining = np.abs(cov_model @ neg_score) * spread
-    if np.max(remaining) > _REMAINING_STEP_BOUND:
+    remaining = (np.abs(cov_model @ neg_score) * spread).max()
+    if remaining > _REMAINING_STEP_BOUND:
         raise MonotoneLikelihood(
-            f"Newton converged {np.max(remaining):.3g} short in the linear "
+            f"Newton converged {remaining:.3g} short in the linear "
             "predictor; likely separation")
     return CoxFit(
         beta=beta,
         se_model=np.sqrt(var_model),
         se_robust=(None if w is None else
-                   np.sqrt(np.diag(robust_variance(s, beta, cov_model)))),
+                   np.sqrt(robust_variance(s, beta, cov_model).diagonal())),
         loglik_at_solution=-neg_loglik,
         iterations=iterations,
         score_norm=score_norm,

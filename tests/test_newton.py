@@ -1,6 +1,7 @@
 """The rules of the Newton solver: each Cholesky pivot at the start is
 measured against its own diagonal entry, so no unit changes a verdict, and a
-value that is not finite is a failed step."""
+value that is not finite, or a Hessian that gives no finite Newton step, is a
+failed step."""
 
 import warnings
 
@@ -50,17 +51,22 @@ def test_pivot_rule_is_free_of_units(one_minus_r2, singular):
             assert newton.minimize(quadratic(h), 2)[4]
 
 
-# a numpy operation that warns and gives NaN, +inf or -inf
-NOT_FINITE = {"nan": lambda: np.log(np.float64(-1.0)),
-              "+inf": lambda: np.exp(np.float64(1000.0)),
-              "-inf": lambda: np.log(np.float64(0.0))}
+# what a candidate off the start returns in place of the bowl's value and
+# Hessian: a value that is NaN, +inf or -inf, from a numpy operation that
+# warns, or a Hessian, NaN or singular, that gives no finite Newton step
+FAILED = {"nan": lambda f, h: (np.log(np.float64(-1.0)), h),
+          "+inf": lambda f, h: (np.exp(np.float64(1000.0)), h),
+          "-inf": lambda f, h: (np.log(np.float64(0.0)), h),
+          "nan-hessian": lambda f, h: (f, np.full_like(h, np.nan)),
+          "singular-hessian": lambda f, h: (f, np.zeros_like(h))}
 
 
-@pytest.mark.parametrize("kind", sorted(NOT_FINITE))
+@pytest.mark.parametrize("kind", sorted(FAILED))
 def test_value_that_is_not_finite_is_a_failed_step(kind):
-    # a quadratic bowl, whose value is not finite off the start: every step
-    # and each of its halvings fails, -inf as much as NaN and +inf, until the
-    # halved step no longer moves the iterate
+    # a quadratic bowl, whose every candidate off the start fails: every step
+    # and each of its halvings, -inf as much as NaN and +inf, and a NaN or
+    # singular Hessian as much as a value, until the halved step no longer
+    # moves the iterate
     h = np.array([[2.0, 0.5], [0.5, 1.0]])
     bowl = quadratic(h)
     calls = []
@@ -68,28 +74,27 @@ def test_value_that_is_not_finite_is_a_failed_step(kind):
     def evaluate(x):
         calls.append(x)
         f, g, hess = bowl(x)
-        return (f if not np.any(x) else NOT_FINITE[kind]()), g, hess
+        if x.any():
+            f, hess = FAILED[kind](f, hess)
+        return f, g, hess
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         x, f, g, hess, converged, iterations = newton.minimize(evaluate, 2)
     assert not converged and iterations == 0
-    assert not np.any(x) and f == bowl(x)[0]
+    assert not x.any() and f == bowl(x)[0] and np.array_equal(hess, h)
     # the trial steps halve from the full Newton step, down to the last one
     # that still moves x = 0: 1,076 of them, to the smallest subnormal
     steps = np.array(calls[1:])
     np.testing.assert_array_equal(steps[1:], steps[:-1] / 2)
-    assert np.all(np.any(steps != 0, axis=1)) and not np.any(steps[-1] / 2)
+    assert steps.any(axis=1).all() and not (steps[-1] / 2).any()
     assert len(calls) == 1077
 
 
-def test_step_that_is_not_finite_ends_the_search():
-    # the accepted first step returns a NaN Hessian, so the next Newton step
-    # is NaN, and no halving makes it finite: the search stops unconverged at
-    # that iterate without evaluating the step. The Hessian at the start is
-    # doubled, so the first step goes halfway and leaves a gradient to follow
-    h = np.array([[2.0, 0.5], [0.5, 1.0]])
-    bowl = quadratic(h)
+def test_gradient_that_is_not_finite_at_the_start_ends_the_search():
+    # the Newton step from x = 0 is NaN, and no halving makes it finite: the
+    # search returns unconverged at the start, after its one evaluation
+    bowl = quadratic(np.array([[2.0, 0.5], [0.5, 1.0]]))
     calls = []
 
     def evaluate(x):
@@ -97,12 +102,11 @@ def test_step_that_is_not_finite_ends_the_search():
         if len(calls) > 100:
             raise RuntimeError("the search does not stop")
         f, g, hess = bowl(x)
-        return f, g, (2 * hess if not np.any(x) else np.full_like(hess, np.nan))
+        return f, np.full_like(g, np.nan), hess
 
     x, f, g, hess, converged, iterations = newton.minimize(evaluate, 2)
-    assert not converged and iterations == 1
-    assert len(calls) == 2 and np.array_equal(x, calls[1])
-    assert np.all(np.isnan(hess))
+    assert not converged and iterations == 0 and len(calls) == 1
+    assert not x.any() and np.isnan(g).all()
 
 
 def cox_designs(rng, n):
